@@ -1,0 +1,35 @@
+//! Order statistics over timing samples.
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of `samples` by linear interpolation
+/// between closest ranks. `None` when there are no samples.
+pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64))
+}
+
+/// The median of `samples`; `None` when there are none.
+pub fn median(samples: &[f64]) -> Option<f64> {
+    quantile(samples, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        assert_eq!(median(&[]), None);
+        assert_eq!(median(&[3.0]), Some(3.0));
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), Some(2.5));
+        let p99 = quantile(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.99).unwrap();
+        assert!((p99 - 4.96).abs() < 1e-9, "{p99}");
+        assert_eq!(quantile(&[5.0, 1.0], 0.0), Some(1.0));
+    }
+}
