@@ -37,7 +37,7 @@ pub use evolve::diff::{
     check_incremental, diff_schemas, edit_cone, impact_cone, DirtySet, EditDetail, EditKind,
     IncrementalCheck, RangeRel, SchemaDiff, SchemaEdit,
 };
-pub use evolve::{affected_by_edit, recheck_incremental, Evolved};
+pub use evolve::Evolved;
 pub use sat::{
     admits_common_value, common_value_witness, explain_admissibility, Derivation, Witness,
 };

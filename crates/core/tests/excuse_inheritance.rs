@@ -155,52 +155,57 @@ fn checked(src: &str) -> (chc_model::Schema, chc_core::CheckReport) {
 }
 
 mod incremental {
-    use chc_core::{check, evolve, recheck_incremental};
+    use chc_core::{check, check_incremental, evolve};
     use chc_model::Range;
     use chc_workloads::{generate, seed_contradictions, HierarchyParams};
 
-    /// Incremental re-check after an edit must equal the full check
-    /// restricted to the affected (descendant) classes, and the rest of
-    /// the full report must be untouched by the edit.
+    /// Incremental re-check after an edit must equal the full check, must
+    /// re-check at least the edited class and its descendants, and the
+    /// rest of the full report must be untouched by the edit.
     #[test]
     fn incremental_recheck_equals_filtered_full_check() {
         for seed in 0..10u64 {
-            let gen = generate(&HierarchyParams { classes: 50, seed, ..Default::default() });
+            let gen = generate(&HierarchyParams {
+                classes: 50,
+                seed,
+                ..Default::default()
+            });
             if gen.excused_sites.is_empty() {
                 continue;
             }
             // Edit: drop the excuses at one site (guaranteed contradiction).
             let (mutated, faults) = seed_contradictions(&gen, 1, seed ^ 0xABCD);
-            let Some(fault) = faults.first() else { continue };
-            let affected = evolve::affected_by_edit(&mutated, fault.class);
+            let Some(fault) = faults.first() else {
+                continue;
+            };
+            let affected: Vec<_> = mutated.descendants_with_self(fault.class).collect();
 
+            let before = check(&gen.schema);
             let full = check(&mutated);
-            let incremental = recheck_incremental(&mutated, fault.class);
-
-            let full_affected: Vec<_> = full
-                .diagnostics
-                .iter()
-                .filter(|d| affected.contains(&d.class))
-                .cloned()
-                .collect();
-            assert_eq!(incremental.diagnostics, full_affected, "seed {seed}");
+            let inc = check_incremental(&gen.schema, &before, &mutated);
+            assert_eq!(inc.report.diagnostics, full.diagnostics, "seed {seed}");
+            for class in &affected {
+                assert!(
+                    inc.dirty.classes.contains(class),
+                    "seed {seed}: {class:?} not re-checked"
+                );
+            }
 
             // Outside the affected set, the edit changed nothing: those
             // diagnostics match the pre-edit schema's.
-            let before = check(&gen.schema);
-            let outside_after: Vec<_> = full
-                .diagnostics
-                .iter()
-                .filter(|d| !affected.contains(&d.class))
-                .cloned()
-                .collect();
-            let outside_before: Vec<_> = before
-                .diagnostics
-                .iter()
-                .filter(|d| !affected.contains(&d.class))
-                .cloned()
-                .collect();
-            assert_eq!(outside_after, outside_before, "seed {seed}: locality violated");
+            let outside = |report: &chc_core::CheckReport| -> Vec<_> {
+                report
+                    .diagnostics
+                    .iter()
+                    .filter(|d| !affected.contains(&d.class))
+                    .cloned()
+                    .collect()
+            };
+            assert_eq!(
+                outside(&full),
+                outside(&before),
+                "seed {seed}: locality violated"
+            );
         }
     }
 
@@ -220,14 +225,12 @@ mod incremental {
         // Break Employee.age so it contradicts Person.age.
         let evolved =
             evolve::set_range(&schema, employee, age, Range::int(0, 200).unwrap()).unwrap();
-        let incr = recheck_incremental(&evolved.schema, employee);
-        assert_eq!(incr.errors().count(), 1);
-        // Patient is unaffected; the incremental report never mentions it.
+        let inc = check_incremental(&schema, &check(&schema), &evolved.schema);
+        assert_eq!(inc.report.errors().count(), 1);
+        assert_eq!(inc.report.diagnostics, evolved.report.diagnostics);
+        // Patient is outside the edit's cone: it is never re-checked.
         let patient = evolved.schema.class_by_name("Patient").unwrap();
-        assert!(incr.diagnostics.iter().all(|d| d.class != patient));
-        // And matches the full check on the affected subtree.
-        let full = check(&evolved.schema);
-        assert_eq!(full.errors().count(), 1);
+        assert!(!inc.dirty.classes.contains(&patient));
     }
 }
 

@@ -344,7 +344,7 @@ pub fn parse_duration(text: &str) -> Result<Duration, String> {
     if !secs.is_finite() || secs < 0.0 {
         return Err(format!("duration `{text}` is not a non-negative time"));
     }
-    Ok(Duration::from_secs_f64(secs))
+    Duration::try_from_secs_f64(secs).map_err(|_| format!("duration `{text}` is too long"))
 }
 
 /// Per-op-type result block.
@@ -563,7 +563,7 @@ impl LoadSummary {
 }
 
 /// `1.2MB`-style byte rendering for tables and tiles.
-pub(crate) fn fmt_bytes(bytes: u64) -> String {
+pub fn fmt_bytes(bytes: u64) -> String {
     if bytes < 1_024 {
         format!("{bytes}B")
     } else if bytes < 1_024 * 1_024 {
@@ -1242,6 +1242,7 @@ mod tests {
         assert_eq!(parse_duration("2").unwrap(), Duration::from_secs(2));
         assert_eq!(parse_duration("1m").unwrap(), Duration::from_secs(60));
         assert!(parse_duration("5 fortnights").is_err());
+        assert!(parse_duration("999999999999999999999").is_err(), "too long, not a panic");
     }
 
     #[test]

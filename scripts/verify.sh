@@ -16,6 +16,9 @@ cargo test -q --offline --workspace
 echo "==> cargo fmt --check (chc-obs)"
 cargo fmt --check -p chc-obs
 
+echo "==> rustfmt --check (the chc CLI, src/bin/chc/)"
+rustfmt --edition 2021 --check src/bin/chc/*.rs
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -1,7 +1,9 @@
 //! End-to-end tests of the `chc` command-line front end.
 
+use std::io::Read as _;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn write_schema(name: &str, body: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("chc-cli-tests");
@@ -76,52 +78,6 @@ fn explain_prints_the_conditional_type() {
         stdout.contains("Physician + Psychologist/Alcoholic"),
         "{stdout}"
     );
-}
-
-#[test]
-fn analyze_flags_unsafe_and_accepts_guarded() {
-    let hospital = write_schema(
-        "analyze.sdl",
-        "
-        class Address with city: String; state: {'NJ};
-        class Hospital with location: Address;
-        class Patient with treatedAt: Hospital;
-        class Tubercular_Patient is-a Patient with
-            treatedAt: Hospital [
-                location: Address [
-                    state: None excuses state on Address
-                ]
-            ];
-        ",
-    );
-    let out = chc(&[
-        "analyze",
-        hospital.to_str().unwrap(),
-        "for p in Patient emit p.treatedAt.location.state",
-    ]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("may be absent"), "{stdout}");
-
-    let out = chc(&[
-        "analyze",
-        hospital.to_str().unwrap(),
-        "for p in Patient where p not in Tubercular_Patient emit p.treatedAt.location.state",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("safe"), "{stdout}");
-}
-
-#[test]
-fn analyze_rejects_ill_typed_queries() {
-    let path = write_schema("illtyped.sdl", CLEAN);
-    let out = chc(&[
-        "analyze",
-        path.to_str().unwrap(),
-        "for p in Physician emit p.treatedBy",
-    ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("type error"));
 }
 
 #[test]
@@ -511,4 +467,387 @@ fn unknown_lint_codes_get_a_did_you_mean() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown lint"), "{stderr}");
     assert!(!stderr.contains("did you mean"), "{stderr}");
+}
+
+/// How long one bounded `chc` run may take before it counts as a hang.
+const HANG: Duration = Duration::from_secs(15);
+
+/// Runs `chc` from the repository root with every `{tmp}` in `args`
+/// replaced by `tmp`, killing it after [`HANG`]. Returns the exit code
+/// (`None` when a signal ended it) and stderr, or `Err` on a hang.
+fn chc_bounded(args: &[&str], tmp: &std::path::Path) -> Result<(Option<i32>, String), String> {
+    let tmp = tmp.to_str().unwrap();
+    let args: Vec<String> = args.iter().map(|a| a.replace("{tmp}", tmp)).collect();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chc"))
+        .args(&args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("chc runs");
+    let mut pipe = child.stderr.take().unwrap();
+    let reader = std::thread::spawn(move || {
+        let mut text = String::new();
+        let _ = pipe.read_to_string(&mut text);
+        text
+    });
+    let deadline = Instant::now() + HANG;
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let stderr = reader.join().unwrap();
+    match status {
+        Some(status) => Ok((status.code(), stderr)),
+        None => Err(format!("chc {} hung for over {HANG:?}", args.join(" "))),
+    }
+}
+
+fn bounded_tmp(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("chc-cli-tests").join(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+const H_SDL: &str = "examples/data/hospital.sdl";
+const H_CHD: &str = "examples/data/hospital.chd";
+const H_EVOLVED: &str = "examples/data/hospital-evolved.sdl";
+const H_CHQ: &str = "examples/data/hospital_queries.chq";
+const QUERY: &str = "for p in Patient emit p.name";
+
+/// One row per usage line of the `chc` header doc, plus the forms the
+/// benchmark spawns, each with its exit code.
+#[test]
+fn every_documented_spelling_is_accepted() {
+    let tmp = bounded_tmp("spellings");
+    std::fs::write(tmp.join("crash.json"), "{\"schema\":\"chc-crash/1\"}\n").unwrap();
+    let rows: &[(&[&str], i32)] = &[
+        (&["check", H_SDL], 0),
+        (
+            &[
+                "check",
+                "--explain",
+                "crates/lint/tests/fixtures/L001_fires.sdl",
+            ],
+            1,
+        ),
+        (
+            &[
+                "check",
+                "--incremental",
+                "--since",
+                "crates/workloads/fixtures/evolve400-old.sdl",
+                "crates/workloads/fixtures/evolve400-new.sdl",
+            ],
+            0,
+        ),
+        (&["lint", H_SDL], 0),
+        (
+            &[
+                "lint", H_SDL, "--format", "json", "--query", H_CHQ, "--allow", "L002", "--warn",
+                "L005", "--deny", "L001", "--deny", "warnings",
+            ],
+            0,
+        ),
+        (&["diff", H_SDL, H_EVOLVED], 0),
+        (
+            &[
+                "diff", H_EVOLVED, H_SDL, "--format", "text", "--allow", "L002", "--warn", "D002",
+                "--deny", "D001", "--deny", "warnings",
+            ],
+            1,
+        ),
+        (&["print", H_SDL], 0),
+        (&["virtualize", H_SDL], 0),
+        (&["explain", H_SDL, "Patient"], 0),
+        (&["explain", H_SDL, "Patient", "treatedBy"], 0),
+        (&["query", H_SDL, H_CHD, QUERY], 0),
+        (&["validate", H_SDL, H_CHD, "--audit-summary"], 0),
+        (
+            &[
+                "load",
+                H_SDL,
+                H_CHD,
+                "--mix",
+                "validate=70,query=20,insert=9,evolve=1",
+                "--threads",
+                "1",
+                "--ops",
+                "50",
+                "--mode",
+                "closed",
+                "--think",
+                "0s",
+                "--seed",
+                "1",
+                "--epsilon",
+                "0.05",
+                "--populate",
+                "5",
+                "--window",
+                "10ms",
+                "--report",
+                "{tmp}/load.html",
+                "--id",
+                "argv",
+            ],
+            0,
+        ),
+        (
+            &[
+                "load",
+                "--hier",
+                "classes=20,supers=2,attrs=4,tokens=4,redefine=0.4,contradict=0.3,seed=7",
+                "--duration",
+                "50ms",
+                "--mode",
+                "open",
+                "--rate",
+                "2000",
+            ],
+            0,
+        ),
+        (
+            &[
+                "profile",
+                "check",
+                H_SDL,
+                "--top",
+                "3",
+                "--label-cap",
+                "64",
+                "--interval",
+                "1ms",
+                "--mem",
+            ],
+            0,
+        ),
+        (&["profile", "check", "--hier", "classes=20,seed=3"], 0),
+        (&["profile", "validate", H_SDL, H_CHD], 0),
+        (&["profile", "query", H_SDL, H_CHD, QUERY], 0),
+        (&["doctor", "{tmp}/crash.json"], 0),
+        (
+            &[
+                "--trace",
+                "--stats",
+                "--trace-out",
+                "{tmp}/t.json",
+                "--flame-out",
+                "{tmp}/t.folded",
+                "--stats-out",
+                "{tmp}/s.json",
+                "--audit-out",
+                "{tmp}/a.jsonl",
+                "--profile-out",
+                "{tmp}/p.json",
+                "--crash-out",
+                "{tmp}/c.json",
+                "--watchdog",
+                "30s",
+                "check",
+                H_SDL,
+            ],
+            0,
+        ),
+        (
+            &[
+                "check",
+                H_SDL,
+                "--trace-out={tmp}/eq.json",
+                "--watchdog=30s",
+                "--crash-out={tmp}/c.json",
+            ],
+            0,
+        ),
+        (&["--stats-out", "{tmp}/bench.json", "check", H_SDL], 0),
+        (&["--stats-out", "{tmp}/bench.json", "lint", H_SDL], 0),
+        (
+            &["--stats-out", "{tmp}/bench.json", "diff", H_SDL, H_EVOLVED],
+            0,
+        ),
+    ];
+    for (args, want) in rows {
+        let (code, stderr) = chc_bounded(args, &tmp).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(code, Some(*want), "chc {}\n{stderr}", args.join(" "));
+    }
+}
+
+/// Malformed command lines, per command: a missing value, a non-number,
+/// an out-of-range value, an unknown flag and an extra positional. Each
+/// must be a usage error (exit 2) whose `error:` line contains the
+/// needle: never a panic (101), an abort, or a hang.
+#[test]
+fn malformed_command_lines_exit_two() {
+    let tmp = bounded_tmp("malformed");
+    let rows: &[(&[&str], &str)] = &[
+        (&[], "error: usage"),
+        (&["frobnicate", H_SDL], "error: "),
+        (&["analyze", H_SDL, QUERY], "error: "),
+        (&["--bogus", "check", H_SDL], "error: "),
+        (&["check", H_SDL, "--trace-out"], "--trace-out"),
+        (&["check", H_SDL, "--trace-out="], "--trace-out"),
+        (&["--watchdog", "soon", "check", H_SDL], "error: "),
+        (
+            &[
+                "--watchdog",
+                "999999999999999999999",
+                "--crash-out",
+                "{tmp}/c.json",
+                "check",
+                H_SDL,
+            ],
+            "--watchdog",
+        ),
+        (&["check"], "error: usage"),
+        (&["check", H_SDL, "--since"], "--since"),
+        (&["check", H_SDL, "--incremental"], "--since"),
+        (&["check", H_SDL, "--format", "json"], "error: "),
+        (&["check", H_SDL, H_SDL], "error: "),
+        (&["lint", H_SDL, "--format"], "--format"),
+        (&["lint", H_SDL, "--format", "yaml"], "--format"),
+        (&["lint", H_SDL, "--deny"], "--deny"),
+        (&["lint", H_SDL, "--deny", "L999"], "unknown lint"),
+        (&["lint", H_SDL, "--query"], "--query"),
+        (&["lint", H_SDL, "--bogus"], "error: "),
+        (&["lint", H_SDL, H_SDL], "error: "),
+        (&["diff", H_SDL, H_EVOLVED, "--warn"], "--warn"),
+        (&["diff", H_SDL, H_EVOLVED, "--format", "yaml"], "--format"),
+        (&["diff", H_SDL, H_EVOLVED, "--bogus"], "error: "),
+        (&["diff", H_SDL], "error: "),
+        (&["diff", H_SDL, H_EVOLVED, H_SDL], "error: "),
+        (&["print"], "error: usage"),
+        (&["print", H_SDL, "extra"], "error: "),
+        (&["print", H_SDL, "--bogus"], "error: "),
+        (&["virtualize", H_SDL, "extra"], "error: "),
+        (&["explain", H_SDL], "error: "),
+        (&["explain", H_SDL, "NoSuchClass"], "error: "),
+        (
+            &["explain", H_SDL, "Patient", "treatedBy", "extra"],
+            "error: ",
+        ),
+        (&["query", H_SDL, H_CHD], "error: "),
+        (&["query", H_SDL, H_CHD, QUERY, "extra"], "error: "),
+        (&["query", H_SDL, H_CHD, QUERY, "--bogus"], "error: "),
+        (&["validate", H_SDL], "error: "),
+        (&["validate", H_SDL, H_CHD, "extra"], "error: "),
+        (&["load"], "error: "),
+        (&["load", "--hier", "classes=5", "--ops"], "--ops"),
+        (&["load", "--hier", "classes=5", "--ops", "ten"], "--ops"),
+        (
+            &["load", "--hier", "classes=5", "--threads", "two"],
+            "--threads",
+        ),
+        (
+            &["load", "--hier", "classes=5", "--epsilon", "2"],
+            "--epsilon",
+        ),
+        (
+            &["load", "--hier", "classes=5", "--mode", "sideways"],
+            "--mode",
+        ),
+        (&["load", "--hier", "classes=five"], "--hier"),
+        (&["load", "--hier", "classes=5", "--bogus"], "error: "),
+        (&["load", H_SDL, H_CHD, "extra"], "error: "),
+        (
+            &["load", "--hier", "supers=0,classes=5", "--ops", "10"],
+            "--hier",
+        ),
+        (
+            &["load", "--hier", "tokens=0,classes=20", "--ops", "10"],
+            "--hier",
+        ),
+        (
+            &["load", "--hier", "classes=5", "--ops", "10", "--rate", "0"],
+            "--rate",
+        ),
+        (
+            &["load", "--hier", "classes=5", "--ops", "10", "--rate", "-5"],
+            "--rate",
+        ),
+        (
+            &[
+                "load",
+                "--hier",
+                "classes=5",
+                "--ops",
+                "10",
+                "--rate",
+                "NaN",
+            ],
+            "--rate",
+        ),
+        (
+            &[
+                "load",
+                "--hier",
+                "classes=5",
+                "--ops",
+                "10",
+                "--duration",
+                "999999999999999999999",
+            ],
+            "--duration",
+        ),
+        (&["profile"], "error: usage"),
+        (&["profile", "frob", H_SDL], "error: "),
+        (&["profile", "check"], "error: "),
+        (
+            &["profile", "check", "--hier", "classes=5", "--top"],
+            "--top",
+        ),
+        (
+            &["profile", "check", "--hier", "classes=5", "--top", "ten"],
+            "--top",
+        ),
+        (
+            &["profile", "check", "--hier", "supers=0,classes=5"],
+            "--hier",
+        ),
+        (
+            &[
+                "profile",
+                "check",
+                "--hier",
+                "classes=5",
+                "--interval",
+                "999999999999999999999",
+            ],
+            "--interval",
+        ),
+        (&["profile", "check", H_SDL, "--bogus"], "error: "),
+        (&["profile", "validate", H_SDL], "error: "),
+        (
+            &["profile", "query", H_SDL, H_CHD, QUERY, "extra"],
+            "error: ",
+        ),
+        (&["doctor"], "error: usage"),
+        (&["doctor", H_SDL], "error: "),
+        (&["doctor", H_SDL, H_SDL], "error: "),
+    ];
+    let mut failures = Vec::new();
+    for (args, needle) in rows {
+        match chc_bounded(args, &tmp) {
+            Ok((Some(2), stderr))
+                if stderr
+                    .lines()
+                    .any(|l| l.starts_with("error: ") && l.contains(needle)) => {}
+            Ok((code, stderr)) => {
+                failures.push(format!("chc {}: exit {code:?}\n{stderr}", args.join(" ")))
+            }
+            Err(hang) => failures.push(hang),
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} malformed command line(s) mishandled:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
 }

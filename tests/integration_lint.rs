@@ -269,3 +269,53 @@ fn lint_query_parse_errors_point_into_the_batch() {
     assert!(stderr.contains("<query>:1:10"), "{stderr}");
     assert!(stderr.contains("Nonexistent"), "{stderr}");
 }
+
+#[test]
+fn lint_query_flags_unsafe_paths_and_accepts_guarded_ones() {
+    let schema = write_schema(
+        "tubercular.sdl",
+        "
+        class Address with city: String; state: {'NJ};
+        class Hospital with location: Address;
+        class Patient with treatedAt: Hospital;
+        class Tubercular_Patient is-a Patient with
+            treatedAt: Hospital [
+                location: Address [
+                    state: None excuses state on Address
+                ]
+            ];
+        ",
+    );
+    let p = schema.to_str().unwrap();
+    let out = chc(&[
+        "lint",
+        p,
+        "--query",
+        "for p in Patient emit p.treatedAt.location.state",
+    ]);
+    assert!(out.status.success(), "warnings alone keep exit 0");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("warning[Q001]"), "{stdout}");
+    assert!(stdout.contains("may be absent"), "{stdout}");
+
+    let guarded =
+        "for p in Patient where p not in Tubercular_Patient emit p.treatedAt.location.state";
+    let out = chc(&["lint", p, "--query", guarded, "--deny", "warnings"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("Q001"));
+}
+
+#[test]
+fn lint_query_fails_ill_typed_queries_under_deny_warnings() {
+    let schema = write_schema("illtyped.sdl", CLEAN);
+    let p = schema.to_str().unwrap();
+    let q = "for p in Physician emit p.treatedBy";
+    let out = chc(&["lint", p, "--query", q, "--deny", "warnings"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("error[Q001]: type error"), "{stdout}");
+}
