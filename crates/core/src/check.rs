@@ -58,11 +58,12 @@ pub fn check(schema: &Schema) -> CheckReport {
 /// the *locality* desideratum of §5).
 pub fn check_class(schema: &Schema, class: ClassId, report: &mut CheckReport) {
     chc_obs::counter(chc_obs::names::CHECK_CLASSES, 1);
-    // Attribution: while a recorder is on, everything this class's check
-    // does downstream (subtype queries, sat calls, contradictions) is
-    // labeled with the class id, and its wall time feeds the per-class
-    // histogram behind `chc profile`'s time-share column.
-    if chc_obs::enabled() {
+    // Attribution: while an installed recorder consumes it, everything
+    // this class's check does downstream (subtype queries, sat calls,
+    // contradictions) is labeled with the class id, and its wall time
+    // feeds the per-class histogram behind `chc profile`'s time-share
+    // column.
+    if chc_obs::attributing() {
         let _label = chc_obs::label_scope(class.index() as u64);
         // Memory attribution rides the same scope when the tracking
         // allocator is live: bytes allocated and peak net-live growth

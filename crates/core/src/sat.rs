@@ -103,7 +103,7 @@ pub fn common_value_witness_of(
     // through here): the total, the per-class attribution, and the
     // distinct `(class, attr)` pairs for the duplicate-work ratio.
     chc_obs::counter(chc_obs::names::SAT_CALLS, 1);
-    if chc_obs::enabled() {
+    if chc_obs::attributing() {
         chc_obs::labeled_counter(chc_obs::names::SAT_CALLS, class.index() as u64, 1);
         let key = ((class.index() as u64) << 32) | attr.index() as u64;
         chc_obs::distinct(chc_obs::names::SAT_CALLS_DISTINCT, key);

@@ -272,12 +272,13 @@ mod tests {
 
     #[test]
     fn audit_ledger_records_one_event_per_executed_check() {
-        use chc_obs::AuditRecorder;
         use std::sync::Arc;
 
         let schema = nixon_schema();
         let (view, x, classes) = dick(&schema, "Hawk");
-        let audit = Arc::new(AuditRecorder::new());
+        let audit = Arc::new(chc_obs::Journal::with_events(
+            chc_obs::journal::AUDIT_CAPACITY,
+        ));
         let stats = Arc::new(chc_obs::StatsRecorder::new());
         let fan = Arc::new(chc_obs::FanoutRecorder::new(vec![
             audit.clone() as Arc<dyn chc_obs::Recorder>,
@@ -290,7 +291,7 @@ mod tests {
             assert!(violations.is_empty());
         }
         // One ledger record per executed check, equal to the counter.
-        let events = audit.events();
+        let (events, _) = audit.audit_events();
         assert_eq!(
             events.len() as u64,
             stats.counter_value(chc_obs::names::VALIDATE_CHECKS)
@@ -304,6 +305,7 @@ mod tests {
         // the admitting excuse (Republican's opinion declaration).
         let excused: Vec<_> = events
             .iter()
+            .map(|(_, e)| e)
             .filter(|e| e.get("verdict").and_then(|v| v.as_str()) == Some("excused"))
             .collect();
         assert_eq!(excused.len(), 1);

@@ -159,7 +159,7 @@ impl Range {
         // One query per top-level decision; record-field recursion goes
         // through `subsumes_inner` so nested fields don't inflate E3/E8.
         chc_obs::counter(chc_obs::names::SUBTYPE_QUERIES, 1);
-        if chc_obs::enabled() {
+        if chc_obs::attributing() {
             chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
             // Structural hash of the (sup, sub) pair for the
             // duplicate-work counter; the tag keeps range pairs disjoint

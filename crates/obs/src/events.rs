@@ -1,48 +1,42 @@
-//! Structured audit events — the third observability layer.
+//! Structured audit events and the audit view.
 //!
-//! The first two layers answer *how much* (aggregated counters/spans,
-//! [`crate::StatsRecorder`]) and *when* (the event-level timeline,
-//! [`crate::TraceRecorder`]). This layer answers *who and why*: each
-//! [`Event`] is a named, leveled record with key-value fields, built for
-//! the §6 requirement that exceptional information stay "explicitly
-//! marked and retrievable" — e.g. one record per run-time constraint
-//! check naming the object, the verdict, and the excuse that admitted a
-//! deviation.
+//! Counters and spans answer *how much* and *when*. Events answer *who
+//! and why*: each [`Event`] is a named, leveled record with key-value
+//! fields, built for the §6 requirement that exceptional information
+//! stay "explicitly marked and retrievable" — e.g. one record per
+//! run-time constraint check naming the object, the verdict, and the
+//! excuse that admitted a deviation.
 //!
-//! Events flow through the same [`Recorder`] plumbing as counters and
-//! spans (the trait method defaults to a no-op, so numeric recorders
-//! ignore the stream), and [`AuditRecorder`] is the batteries-included
-//! sink: a bounded ring that keeps the most recent events and renders
-//! them as JSON lines via [`crate::json`].
+//! Events flow through the same [`crate::Recorder`] plumbing as counters
+//! and spans. A [`Journal`] built with [`Journal::with_events`] keeps
+//! them in its rings, and the audit view reads them back as JSON lines
+//! via [`crate::json`].
 //!
 //! ```
 //! use std::sync::Arc;
-//! use chc_obs::{self as obs, AuditRecorder, Event, EventLevel};
+//! use chc_obs::{self as obs, Event, EventLevel, Journal};
 //!
-//! let audit = Arc::new(AuditRecorder::new());
+//! let journal = Arc::new(Journal::with_events(obs::journal::AUDIT_CAPACITY));
 //! {
-//!     let _scope = obs::scoped(audit.clone());
+//!     let _scope = obs::scoped(journal.clone());
 //!     obs::event_with(|| {
 //!         Event::new(EventLevel::Audit, "demo.check")
 //!             .field("object", 7u64)
 //!             .field("verdict", "excused")
 //!     });
 //! }
-//! assert_eq!(audit.len(), 1);
-//! assert!(audit.to_json_lines().contains("\"verdict\":\"excused\""));
+//! assert_eq!(journal.audit_events().0.len(), 1);
+//! assert!(journal.to_audit_json_lines().contains("\"verdict\":\"excused\""));
 //! ```
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::Arc;
 
+use crate::journal::{EntryKind, Journal, AUDIT_CAPACITY};
 use crate::json::JsonValue;
-use crate::Recorder;
 
-/// How important a structured event is. Ordered: `Debug < Info < Audit`.
+/// How important a structured event is. Ordered: `Info < Audit`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventLevel {
-    /// Diagnostic chatter; off by default in every sink.
-    Debug,
     /// Notable milestones of a run (a file loaded, a phase finished).
     Info,
     /// Ledger records that must survive for after-the-fact review — one
@@ -54,7 +48,6 @@ impl EventLevel {
     /// The lowercase label used in JSON output.
     pub fn label(self) -> &'static str {
         match self {
-            EventLevel::Debug => "debug",
             EventLevel::Info => "info",
             EventLevel::Audit => "audit",
         }
@@ -119,7 +112,7 @@ impl From<u64> for FieldValue {
 /// A structured, leveled event: a name plus ordered key-value fields.
 ///
 /// The keys `event`, `level`, and `seq` are reserved for the envelope
-/// written by [`AuditRecorder::to_json_lines`]; field keys must not
+/// written by [`Journal::to_audit_json_lines`]; field keys must not
 /// collide with them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
@@ -171,84 +164,37 @@ impl Event {
     }
 }
 
-/// Default number of events an [`AuditRecorder`] retains.
-pub const AUDIT_DEFAULT_CAPACITY: usize = 1 << 20;
-
-struct AuditRing {
-    events: VecDeque<(u64, Event)>,
-    /// Events evicted because the ring was full.
-    dropped: u64,
-    /// Next sequence number; survives eviction so lines stay orderable.
-    seq: u64,
-}
-
-/// A bounded sink for structured events, rendering them as JSON lines.
-///
-/// Counters, histograms, and spans are ignored — pair it with a
-/// [`crate::StatsRecorder`] or [`crate::TraceRecorder`] through a
-/// [`crate::FanoutRecorder`] when both views of a run are wanted. When
-/// the ring fills, the *oldest* events are dropped (the most recent
-/// decisions are the ones an operator reviews), and the JSONL output
-/// ends with an `audit.dropped` marker so truncation is never silent.
-pub struct AuditRecorder {
-    min_level: EventLevel,
-    capacity: usize,
-    inner: Mutex<AuditRing>,
-}
-
-impl AuditRecorder {
-    /// A recorder keeping [`EventLevel::Info`] and above, with the
-    /// default capacity.
-    pub fn new() -> Self {
-        Self::with_capacity(AUDIT_DEFAULT_CAPACITY)
+impl Journal {
+    /// The audit view: the retained events with their journal-wide
+    /// ordinals, oldest first, and the number of events not retained.
+    /// It keeps at most [`AUDIT_CAPACITY`] of the newest events the rings
+    /// still hold; evicted span entries do not count as dropped. Events
+    /// are retained only by a journal built with [`Journal::with_events`].
+    pub fn audit_events(&self) -> (Vec<(u64, Arc<Event>)>, u64) {
+        let mut events: Vec<(u64, Arc<Event>)> = self
+            .entries()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EntryKind::Event {
+                    ordinal,
+                    payload: Some(event),
+                } => Some((ordinal, event)),
+                _ => None,
+            })
+            .collect();
+        events.sort_by_key(|(ordinal, _)| *ordinal);
+        events.drain(..events.len().saturating_sub(AUDIT_CAPACITY));
+        let dropped = self.events_recorded() - events.len() as u64;
+        (events, dropped)
     }
 
-    /// A recorder retaining at most `capacity` events (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_level(capacity, EventLevel::Info)
-    }
-
-    /// Full control over capacity and the minimum retained level.
-    pub fn with_capacity_and_level(capacity: usize, min_level: EventLevel) -> Self {
-        AuditRecorder {
-            min_level,
-            capacity: capacity.max(1),
-            inner: Mutex::new(AuditRing {
-                events: VecDeque::new(),
-                dropped: 0,
-                seq: 0,
-            }),
-        }
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("audit lock").events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of events evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("audit lock").dropped
-    }
-
-    /// Snapshot of the retained events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        let inner = self.inner.lock().expect("audit lock");
-        inner.events.iter().map(|(_, e)| e.clone()).collect()
-    }
-
-    /// The ledger as line-delimited JSON (one event per line, each with
-    /// a monotonically increasing `seq`), ending with an
-    /// `audit.dropped` marker line when events were evicted.
-    pub fn to_json_lines(&self) -> String {
-        let inner = self.inner.lock().expect("audit lock");
+    /// The audit ledger as line-delimited JSON (one event per line, each
+    /// with its ordinal as `seq`), ending with an `audit.dropped` marker
+    /// line when events were evicted, so truncation is never silent.
+    pub fn to_audit_json_lines(&self) -> String {
+        let (events, dropped) = self.audit_events();
         let mut out = String::new();
-        for (seq, event) in &inner.events {
+        for (seq, event) in &events {
             let mut obj = event.to_json();
             if let JsonValue::Obj(m) = &mut obj {
                 m.insert("seq".to_string(), JsonValue::number(*seq as f64));
@@ -256,11 +202,11 @@ impl AuditRecorder {
             out.push_str(&obj.render());
             out.push('\n');
         }
-        if inner.dropped > 0 {
+        if dropped > 0 {
             let marker = JsonValue::object([
                 ("event", JsonValue::string("audit.dropped")),
                 ("level", JsonValue::string(EventLevel::Audit.label())),
-                ("count", JsonValue::number(inner.dropped as f64)),
+                ("count", JsonValue::number(dropped as f64)),
             ]);
             out.push_str(&marker.render());
             out.push('\n');
@@ -269,48 +215,30 @@ impl AuditRecorder {
     }
 }
 
-impl Default for AuditRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Recorder for AuditRecorder {
-    fn counter(&self, _name: &'static str, _delta: u64) {}
-    fn histogram(&self, _name: &'static str, _value: u64) {}
-    fn span_enter(&self, _name: &'static str) {}
-    fn span_exit(&self, _name: &'static str, _nanos: u64) {}
-
-    fn event(&self, event: &Event) {
-        if event.level < self.min_level {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("audit lock");
-        if inner.events.len() == self.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.events.push_back((seq, event.clone()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::{json, Recorder};
 
     fn ev(level: EventLevel, name: &'static str) -> Event {
         Event::new(level, name).field("k", "v").field("n", 3u64)
     }
 
+    fn names(journal: &Journal) -> Vec<&'static str> {
+        journal
+            .audit_events()
+            .0
+            .iter()
+            .map(|(_, e)| e.name)
+            .collect()
+    }
+
     #[test]
     fn events_render_as_flat_json_with_seq() {
-        let audit = AuditRecorder::new();
+        let audit = Journal::with_events(AUDIT_CAPACITY);
         audit.event(&ev(EventLevel::Audit, "t.one"));
         audit.event(&ev(EventLevel::Audit, "t.two"));
-        let lines = json::parse_lines(&audit.to_json_lines()).expect("own output parses");
+        let lines = json::parse_lines(&audit.to_audit_json_lines()).expect("own output parses");
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0].get("event").and_then(|v| v.as_str()),
@@ -327,29 +255,23 @@ mod tests {
     }
 
     #[test]
-    fn levels_below_the_minimum_are_filtered() {
-        let audit = AuditRecorder::new(); // min level Info
-        audit.event(&ev(EventLevel::Debug, "t.debug"));
+    fn info_and_audit_levels_are_both_kept() {
+        let audit = Journal::with_events(AUDIT_CAPACITY);
         audit.event(&ev(EventLevel::Info, "t.info"));
         audit.event(&ev(EventLevel::Audit, "t.audit"));
-        let names: Vec<&str> = audit.events().iter().map(|e| e.name).collect();
-        assert_eq!(names, ["t.info", "t.audit"]);
-
-        let verbose = AuditRecorder::with_capacity_and_level(8, EventLevel::Debug);
-        verbose.event(&ev(EventLevel::Debug, "t.debug"));
-        assert_eq!(verbose.len(), 1);
+        assert_eq!(names(&audit), ["t.info", "t.audit"]);
+        assert!(EventLevel::Info < EventLevel::Audit);
     }
 
     #[test]
     fn ring_is_bounded_and_truncation_is_marked() {
-        let audit = AuditRecorder::with_capacity(2);
+        let audit = Journal::with_events(2);
         for name in ["t.a", "t.b", "t.c"] {
             audit.event(&ev(EventLevel::Audit, name));
         }
-        let names: Vec<&str> = audit.events().iter().map(|e| e.name).collect();
-        assert_eq!(names, ["t.b", "t.c"], "oldest evicted first");
-        assert_eq!(audit.dropped(), 1);
-        let lines = json::parse_lines(&audit.to_json_lines()).unwrap();
+        assert_eq!(names(&audit), ["t.b", "t.c"], "oldest evicted first");
+        assert_eq!(audit.audit_events().1, 1);
+        let lines = json::parse_lines(&audit.to_audit_json_lines()).unwrap();
         let last = lines.last().unwrap();
         assert_eq!(
             last.get("event").and_then(|v| v.as_str()),
@@ -361,29 +283,53 @@ mod tests {
     }
 
     #[test]
+    fn evicted_spans_do_not_count_as_dropped_events() {
+        let audit = Journal::with_events(3);
+        audit.event(&ev(EventLevel::Audit, "t.kept"));
+        for _ in 0..4 {
+            audit.span_enter("t.span");
+            audit.span_exit("t.span", 1);
+        }
+        audit.event(&ev(EventLevel::Audit, "t.last"));
+        assert_eq!(names(&audit), ["t.last"]);
+        assert_eq!(
+            audit.audit_events().1,
+            1,
+            "one event evicted, spans not counted"
+        );
+    }
+
+    #[test]
+    fn a_journal_without_events_keeps_no_payloads() {
+        let journal = Journal::default();
+        journal.event(&ev(EventLevel::Audit, "t.name_only"));
+        assert!(journal.audit_events().0.is_empty());
+        assert_eq!(journal.entries()[0].name, "t.name_only");
+    }
+
+    #[test]
     fn emission_flows_through_the_scoped_recorder_plumbing() {
-        use std::sync::Arc;
-        let audit = Arc::new(AuditRecorder::new());
+        let audit = Arc::new(Journal::with_events(AUDIT_CAPACITY));
         {
             let _g = crate::scoped(audit.clone());
             crate::event_with(|| Event::new(EventLevel::Audit, "t.scoped").field("x", 1i64));
         }
         crate::event_with(|| Event::new(EventLevel::Audit, "t.after"));
-        assert_eq!(audit.len(), 1);
-        assert_eq!(audit.events()[0].get("x"), Some(&FieldValue::Int(1)));
+        let (events, _) = audit.audit_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].1.get("x"), Some(&FieldValue::Int(1)));
     }
 
     #[test]
     fn fanout_forwards_events() {
-        use std::sync::Arc;
-        let a = Arc::new(AuditRecorder::new());
-        let b = Arc::new(AuditRecorder::new());
+        let a = Arc::new(Journal::with_events(AUDIT_CAPACITY));
+        let b = Arc::new(Journal::with_events(AUDIT_CAPACITY));
         let fan = crate::FanoutRecorder::new(vec![
             a.clone() as Arc<dyn Recorder>,
             b.clone() as Arc<dyn Recorder>,
         ]);
         fan.event(&ev(EventLevel::Audit, "t.fan"));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
+        assert_eq!(a.audit_events().0.len(), 1);
+        assert_eq!(b.audit_events().0.len(), 1);
     }
 }

@@ -15,25 +15,35 @@
 //!   attribution ([`labeled_counter`], [`labeled_histogram`],
 //!   [`distinct`], [`label_scope`]) — see [`profile`],
 //!
-//! behind a cheap [`Recorder`] trait. When no recorder is installed
-//! (the default), every instrumentation call is a single relaxed atomic
-//! load and a predictable branch — instrumented hot paths cost ~nothing.
+//! behind a cheap [`Recorder`] trait. When no recorder is installed,
+//! every instrumentation call is a single relaxed atomic load and a
+//! predictable branch. The `chc` CLI always installs one (the
+//! [`Journal`] below), so its always-on path is that load, the thread's
+//! cached copy of the global recorder, a thread-local lookup of the
+//! thread's journal slot, and an uncontended per-slot mutex: no
+//! process-wide lock. The attribution calls
+//! ([`labeled_counter`], [`labeled_histogram`], [`distinct`]) are
+//! dispatched only while an installed recorder consumes them, see
+//! [`attributing`]; instrumented sites gate the work of preparing them
+//! (hashing, label scopes, timing) on the same answer.
 //!
 //! ## Installing a recorder
 //!
-//! [`StatsRecorder`] is the batteries-included implementation: it
-//! aggregates counters, histograms, and a span tree, and renders them as
-//! a human-readable tree ([`StatsRecorder::render_tree`]), a counter
-//! table ([`StatsRecorder::render_counters`]), or line-delimited JSON
-//! ([`StatsRecorder::to_json_lines`]).
+//! [`StatsRecorder`] is the batteries-included aggregate: counters,
+//! histograms, and a span tree, rendered as a human-readable tree
+//! ([`StatsRecorder::render_tree`]), a counter table
+//! ([`StatsRecorder::render_counters`]), or line-delimited JSON
+//! ([`StatsRecorder::to_json_lines`]). [`ProfileRecorder`] keeps the
+//! labeled cost attribution.
 //!
-//! [`TraceRecorder`] keeps the event-level timeline instead: a bounded
-//! ring of timestamped span begin/end events exportable as Chrome
-//! trace-event JSON (Perfetto) or folded stacks (flamegraphs) — see
-//! [`trace`]. [`AuditRecorder`] retains the structured-event ledger and
-//! renders it as JSON lines — see [`events`]. [`FanoutRecorder`] feeds
-//! one run to several recorders at once (the CLI's `--trace
-//! --trace-out` combination).
+//! [`Journal`] is the one event-level core: per thread, a bounded ring
+//! of span and event transitions, the open-span stack, and counter
+//! totals — see [`journal`]. Four views read it: the trace timeline as
+//! Chrome trace JSON or folded stacks ([`trace`]), the `chc-crash/1`
+//! report with its writer and stall watchdog ([`crash`]), the audit
+//! ledger as JSON lines ([`events`]), and the span-stack
+//! [`SpanSampler`] ([`sampler`]). [`FanoutRecorder`] feeds one run to
+//! several recorders at once.
 //!
 //! Recorders can be installed two ways:
 //!
@@ -64,8 +74,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod crash;
 pub mod events;
-pub mod flight;
+pub mod journal;
 pub mod json;
 pub mod memalloc;
 pub mod names;
@@ -74,16 +85,16 @@ pub mod sampler;
 mod stats;
 pub mod trace;
 
-pub use events::{AuditRecorder, Event, EventLevel, FieldValue};
-pub use flight::{CrashWriter, FlightEntry, FlightKind, FlightRecorder, Watchdog};
+pub use crash::{CrashWriter, Watchdog};
+pub use events::{Event, EventLevel, FieldValue};
+pub use journal::{Entry, EntryKind, Journal};
 pub use memalloc::{MemSnapshot, ProbeStats, ThreadProbe, TrackingAllocator};
 pub use profile::{LabeledSnapshot, ProfileRecorder};
 pub use sampler::SpanSampler;
 pub use stats::{Histogram, HistogramSummary, SpanNode, StatsRecorder};
-pub use trace::{FanoutRecorder, TraceEvent, TraceEventKind, TraceRecorder};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -102,8 +113,8 @@ pub trait Recorder: Send + Sync {
     /// for `nanos` nanoseconds.
     fn span_exit(&self, name: &'static str, nanos: u64);
     /// A structured event was emitted. Defaults to discarding it, so
-    /// recorders that aggregate numeric work (stats, traces) ignore the
-    /// audit stream; [`AuditRecorder`] overrides this to retain it.
+    /// recorders that aggregate numeric work ignore the audit stream;
+    /// [`Journal`] overrides this to retain it.
     fn event(&self, event: &events::Event) {
         let _ = event;
     }
@@ -129,6 +140,13 @@ pub trait Recorder: Send + Sync {
     fn distinct(&self, name: &'static str, key: u64) {
         let _ = (name, key);
     }
+    /// Whether this recorder consumes the attribution calls
+    /// ([`Recorder::labeled_counter`], [`Recorder::labeled_histogram`],
+    /// [`Recorder::distinct`]). While no installed recorder does, they
+    /// are not dispatched and [`attributing`] is false.
+    fn attributing(&self) -> bool {
+        false
+    }
 }
 
 /// Number of live recorder installations (global plus scoped). While
@@ -137,8 +155,21 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 static GLOBAL: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
 
+/// Whether the process-wide recorder consumes attribution calls.
+static GLOBAL_ATTRIBUTING: AtomicBool = AtomicBool::new(false);
+
+/// Bumped, under the write lock, each time the process-wide recorder
+/// changes. A thread that loads a new value refreshes its cached copy
+/// under the read lock, which orders the refresh after the change; the
+/// `Release`/`Acquire` pair only publishes the bump itself.
+static GLOBAL_GEN: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
     static LOCAL: RefCell<Vec<Arc<dyn Recorder>>> = const { RefCell::new(Vec::new()) };
+    /// This thread's copy of the process-wide recorder as of a
+    /// `GLOBAL_GEN` value: recording needs no shared lock or refcount.
+    static GLOBAL_CACHE: RefCell<(u64, Option<Arc<dyn Recorder>>)> =
+        const { RefCell::new((u64::MAX, None)) };
 }
 
 /// True if any recorder (global or scoped-on-this-thread) may be live.
@@ -150,15 +181,47 @@ pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
+/// True if the recorder this thread reports to consumes attribution
+/// calls ([`labeled_counter`], [`labeled_histogram`], [`distinct`]).
+///
+/// Gate the work of preparing them on this: a structural hash, a
+/// [`label_scope`], a per-class timer. The attribution emit functions
+/// check it internally.
+#[inline]
+pub fn attributing() -> bool {
+    enabled()
+        && LOCAL.with(|l| match l.borrow().last() {
+            Some(scoped) => scoped.attributing(),
+            None => GLOBAL_ATTRIBUTING.load(Ordering::Relaxed),
+        })
+}
+
 fn dispatch(f: impl FnOnce(&dyn Recorder)) {
     let local = LOCAL.with(|l| l.borrow().last().cloned());
     if let Some(r) = local {
         f(&*r);
         return;
     }
-    let global = GLOBAL.read().ok().and_then(|g| g.clone());
-    if let Some(r) = global {
-        f(&*r);
+    let read_global = || GLOBAL.read().ok().and_then(|g| g.clone());
+    let mut f = Some(f);
+    let gen = GLOBAL_GEN.load(Ordering::Acquire);
+    let cached = GLOBAL_CACHE.try_with(|cache| {
+        if cache.borrow().0 != gen {
+            // A call nested in a recorder (a panic hook reporting) keeps
+            // the copy it has rather than refresh under the outer borrow.
+            if let Ok(mut stale) = cache.try_borrow_mut() {
+                *stale = (gen, read_global());
+            }
+        }
+        if let Some(r) = &cache.borrow().1 {
+            (f.take().expect("runs once"))(&**r);
+        }
+    });
+    if cached.is_err() {
+        // Thread-local storage is being torn down: read the global.
+        if let Some(r) = read_global() {
+            (f.take().expect("runs once"))(&*r);
+        }
     }
 }
 
@@ -167,6 +230,8 @@ fn dispatch(f: impl FnOnce(&dyn Recorder)) {
 /// [`scoped`] guard keeps reporting to its own recorder.
 pub fn set_global(recorder: Arc<dyn Recorder>) {
     let mut g = GLOBAL.write().expect("obs global lock");
+    GLOBAL_ATTRIBUTING.store(recorder.attributing(), Ordering::Relaxed);
+    GLOBAL_GEN.fetch_add(1, Ordering::Release);
     if g.replace(recorder).is_none() {
         ACTIVE.fetch_add(1, Ordering::Relaxed);
     }
@@ -175,6 +240,8 @@ pub fn set_global(recorder: Arc<dyn Recorder>) {
 /// Removes the process-wide recorder installed by [`set_global`].
 pub fn clear_global() {
     let mut g = GLOBAL.write().expect("obs global lock");
+    GLOBAL_ATTRIBUTING.store(false, Ordering::Relaxed);
+    GLOBAL_GEN.fetch_add(1, Ordering::Release);
     if g.take().is_some() {
         ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
@@ -223,29 +290,29 @@ pub fn histogram(name: &'static str, value: u64) {
 }
 
 /// Adds `delta` to the named counter under `label` (class id, query id,
-/// pair hash, …) on the active recorder. One relaxed load when disabled.
+/// pair hash, …) on the active recorder, if it is [`attributing`].
 #[inline]
 pub fn labeled_counter(name: &'static str, label: u64, delta: u64) {
-    if enabled() {
+    if attributing() {
         dispatch(|r| r.labeled_counter(name, label, delta));
     }
 }
 
 /// Records `value` into the named histogram under `label` on the active
-/// recorder. One relaxed load when disabled.
+/// recorder, if it is [`attributing`].
 #[inline]
 pub fn labeled_histogram(name: &'static str, label: u64, value: u64) {
-    if enabled() {
+    if attributing() {
         dispatch(|r| r.labeled_histogram(name, label, value));
     }
 }
 
 /// Reports a distinct-work observation: recorders that track duplicate
 /// work bump the counter `name` only the first time they see `key`.
-/// One relaxed load when disabled.
+/// A no-op unless the active recorder is [`attributing`].
 #[inline]
 pub fn distinct(name: &'static str, key: u64) {
-    if enabled() {
+    if attributing() {
         dispatch(|r| r.distinct(name, key));
     }
 }
@@ -265,8 +332,8 @@ pub struct LabelGuard {
 /// drops. Deep instrumentation sites that cannot see what they work
 /// *for* (the subtype decision, the sat procedure) read the innermost
 /// label via [`current_label`] so their counters attribute to the class
-/// (or query) being processed. Callers should gate on [`enabled`] — the
-/// stack is maintained unconditionally.
+/// (or query) being processed. Callers should gate on [`attributing`] —
+/// the stack is maintained unconditionally.
 pub fn label_scope(label: u64) -> LabelGuard {
     LABELS.with(|l| l.borrow_mut().push(label));
     LabelGuard {
@@ -287,11 +354,11 @@ pub fn current_label() -> Option<u64> {
 }
 
 /// Adds `delta` to the labeled series of `name` under the innermost
-/// [`label_scope`] label; a no-op when no label scope is active (or no
-/// recorder is installed). One relaxed load when disabled.
+/// [`label_scope`] label; a no-op when no label scope is active or the
+/// active recorder is not [`attributing`].
 #[inline]
 pub fn labeled_counter_scoped(name: &'static str, delta: u64) {
-    if enabled() {
+    if attributing() {
         if let Some(label) = current_label() {
             dispatch(|r| r.labeled_counter(name, label, delta));
         }
@@ -351,6 +418,61 @@ impl Drop for SpanGuard {
     }
 }
 
+/// Forwards every call to each of a set of recorders, so the journal
+/// and the flag-selected aggregates can observe one run.
+pub struct FanoutRecorder {
+    sinks: Vec<Arc<dyn Recorder>>,
+}
+
+impl FanoutRecorder {
+    /// A recorder fanning out to `sinks`, in order.
+    pub fn new(sinks: Vec<Arc<dyn Recorder>>) -> Self {
+        FanoutRecorder { sinks }
+    }
+}
+
+impl Recorder for FanoutRecorder {
+    fn counter(&self, name: &'static str, delta: u64) {
+        self.sinks.iter().for_each(|s| s.counter(name, delta));
+    }
+
+    fn histogram(&self, name: &'static str, value: u64) {
+        self.sinks.iter().for_each(|s| s.histogram(name, value));
+    }
+
+    fn span_enter(&self, name: &'static str) {
+        self.sinks.iter().for_each(|s| s.span_enter(name));
+    }
+
+    fn span_exit(&self, name: &'static str, nanos: u64) {
+        self.sinks.iter().for_each(|s| s.span_exit(name, nanos));
+    }
+
+    fn event(&self, event: &Event) {
+        self.sinks.iter().for_each(|s| s.event(event));
+    }
+
+    fn labeled_counter(&self, name: &'static str, label: u64, delta: u64) {
+        self.sinks
+            .iter()
+            .for_each(|s| s.labeled_counter(name, label, delta));
+    }
+
+    fn labeled_histogram(&self, name: &'static str, label: u64, value: u64) {
+        self.sinks
+            .iter()
+            .for_each(|s| s.labeled_histogram(name, label, value));
+    }
+
+    fn distinct(&self, name: &'static str, key: u64) {
+        self.sinks.iter().for_each(|s| s.distinct(name, key));
+    }
+
+    fn attributing(&self) -> bool {
+        self.sinks.iter().any(|s| s.attributing())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,6 +495,27 @@ mod tests {
         }
         counter("t.scoped", 100); // after the scope: dropped
         assert_eq!(stats.counter_value("t.scoped"), 5);
+    }
+
+    #[test]
+    fn attribution_follows_the_active_recorder() {
+        assert!(!attributing(), "nothing installed");
+        let journal = Arc::new(Journal::default());
+        let stats = Arc::new(StatsRecorder::new());
+        let _a = scoped(journal.clone());
+        assert!(enabled() && !attributing(), "the journal consumes none");
+        distinct("t.attr.distinct", 1);
+        {
+            let _b = scoped(Arc::new(FanoutRecorder::new(vec![
+                journal.clone() as Arc<dyn Recorder>,
+                stats.clone() as Arc<dyn Recorder>,
+            ])));
+            assert!(attributing(), "a fanout attributes if any sink does");
+            distinct("t.attr.distinct", 1);
+            distinct("t.attr.distinct", 2);
+        }
+        assert!(!attributing());
+        assert_eq!(stats.counter_value("t.attr.distinct"), 2);
     }
 
     #[test]

@@ -187,8 +187,9 @@ pub struct LabeledSnapshot {
 ///
 /// Spans and plain histograms are deliberately not aggregated here — use
 /// [`StatsRecorder`](crate::StatsRecorder) (or fan out to both) when the
-/// span tree matters. The `chc profile` subcommand installs this
-/// together with a [`SpanSampler`](crate::SpanSampler).
+/// span tree matters. The `chc profile` subcommand installs this next
+/// to the [`Journal`](crate::Journal) its
+/// [`SpanSampler`](crate::SpanSampler) reads.
 pub struct ProfileRecorder {
     cap: usize,
     inner: Mutex<ProfInner>,
@@ -407,6 +408,10 @@ impl crate::Recorder for ProfileRecorder {
             lh.other.2 = lh.other.2.max(value);
             lh.overflow_labels.insert(label);
         }
+    }
+
+    fn attributing(&self) -> bool {
+        true
     }
 
     fn distinct(&self, name: &'static str, key: u64) {

@@ -1,32 +1,26 @@
-//! Statistical span-stack sampling.
+//! Statistical span-stack sampling: a view of the journal on a timer.
 //!
-//! [`TraceRecorder`](crate::TraceRecorder) records *every* span
-//! transition into a bounded ring — exact, but the ring caps history and
-//! each event pays a slot. [`SpanSampler`] inverts the trade-off: it is
-//! a [`Recorder`](crate::Recorder) that only maintains each registered
-//! thread's *currently open* span path (the same per-thread tid
-//! machinery the tracer uses), while a background thread wakes on a
-//! fixed interval and snapshots every path into folded-stack counts.
-//! Long runs get statistical flamegraphs at O(threads × depth) memory,
-//! no ring, and no per-event cost beyond the open-path bookkeeping.
+//! The trace view reads *every* span transition the journal's rings
+//! still hold: exact, but the rings cap history. [`SpanSampler`] inverts
+//! the trade-off: a background ticker wakes on a fixed interval, reads
+//! every thread's *currently open* span path from a [`Journal`], and
+//! folds the paths into stack counts. Long runs get statistical
+//! flamegraphs at O(threads × depth) memory.
 //!
-//! Sampling and span transitions serialize on one mutex, so a sample can
-//! never observe a torn stack: a thread is seen either before or after a
-//! `span_exit`, never mid-pop. [`SpanSampler::stop`] signals the thread
+//! The journal locks one thread's slot per read, so a sample can never
+//! observe a torn stack: a thread is seen either before or after a
+//! `span_exit`, never mid-pop. [`SpanSampler::stop`] signals the ticker
 //! and joins it; every tick taken before the join is in the totals
 //! (`samples() ==` sum of folded counts `+ idle()`).
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle, ThreadId};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::journal::{lock, Journal, Ticker};
+
 #[derive(Default)]
-struct SamplerInner {
-    /// Dense per-thread ids, assigned on a thread's first span event.
-    tids: HashMap<ThreadId, usize>,
-    /// Open-span path per registered thread, innermost last.
-    stacks: Vec<Vec<&'static str>>,
+struct Counts {
     /// Folded stack → number of samples that observed it.
     folded: BTreeMap<String, u64>,
     /// Per-thread samples taken while the thread's stack was non-empty.
@@ -37,88 +31,55 @@ struct SamplerInner {
     ticks: u64,
 }
 
-impl SamplerInner {
-    fn stack_mut(&mut self, tid: ThreadId) -> &mut Vec<&'static str> {
-        let next = self.tids.len();
-        let idx = *self.tids.entry(tid).or_insert(next);
-        if idx == self.stacks.len() {
-            self.stacks.push(Vec::new());
-        }
-        &mut self.stacks[idx]
-    }
-
-    fn tick(&mut self) {
-        self.ticks += 1;
-        for stack in &self.stacks {
-            if stack.is_empty() {
-                self.idle += 1;
-            } else {
-                self.busy += 1;
-                *self.folded.entry(stack.join(";")).or_insert(0) += 1;
-            }
-        }
-    }
-}
-
 /// A background span-stack sampler; see the [module docs](self).
 ///
-/// Construct with [`SpanSampler::start`], install it like any recorder
-/// (usually fanned out next to a
-/// [`ProfileRecorder`](crate::ProfileRecorder)), and call
-/// [`SpanSampler::stop`] before reading the folded stacks. Dropping a
-/// running sampler also stops it.
+/// Construct with [`SpanSampler::start`] over the journal the run
+/// records into, and call [`SpanSampler::stop`] before reading the
+/// folded stacks. Dropping a running sampler also stops it.
 pub struct SpanSampler {
-    inner: Arc<Mutex<SamplerInner>>,
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Mutex<Option<JoinHandle<()>>>,
+    counts: Arc<Mutex<Counts>>,
+    ticker: Ticker,
     interval: Duration,
 }
 
 impl SpanSampler {
-    /// Spawns the sampling thread, waking every `interval` (clamped to
-    /// at least 10 µs so a zero interval cannot spin a core).
-    pub fn start(interval: Duration) -> SpanSampler {
+    /// Starts sampling `journal` every `interval` (clamped to at least
+    /// 10 µs so a zero interval cannot spin a core).
+    pub fn start(journal: Arc<Journal>, interval: Duration) -> SpanSampler {
         let interval = interval.max(Duration::from_micros(10));
-        let inner = Arc::new(Mutex::new(SamplerInner::default()));
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let handle = {
-            let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("chc-obs-sampler".into())
-                .spawn(move || {
-                    // A condvar wait rather than a sleep, so `stop()`
-                    // wakes the thread immediately — shutdown latency is
-                    // bounded by the tick in flight, not the interval.
-                    let (lock, cvar) = &*stop;
-                    let mut stopped = lock.lock().expect("sampler stop lock");
-                    loop {
-                        // Check before waiting: `stop()` may have set the
-                        // flag (and fired its never-heard notification)
-                        // before this thread first acquired the lock — a
-                        // long-interval wait would then sleep it out in
-                        // full instead of returning.
-                        if *stopped {
-                            return;
-                        }
-                        let (guard, timeout) = cvar
-                            .wait_timeout(stopped, interval)
-                            .expect("sampler stop lock");
-                        stopped = guard;
-                        if *stopped {
-                            return;
-                        }
-                        if timeout.timed_out() {
-                            inner.lock().expect("sampler lock").tick();
-                        }
+        let counts = Arc::new(Mutex::new(Counts::default()));
+        let shared = Arc::clone(&counts);
+        let mut path = String::new();
+        let ticker = Ticker::start("chc-obs-sampler", interval, move || {
+            let mut guard = lock(&shared);
+            let c = &mut *guard;
+            c.ticks += 1;
+            journal.each_stack(|names| {
+                path.clear();
+                for name in names {
+                    if !path.is_empty() {
+                        path.push(';');
                     }
-                })
-                .expect("spawn sampler thread")
-        };
+                    path.push_str(name);
+                }
+                if path.is_empty() {
+                    c.idle += 1;
+                    return;
+                }
+                c.busy += 1;
+                // Looked up by `&str`: a path seen before allocates nothing.
+                match c.folded.get_mut(path.as_str()) {
+                    Some(count) => *count += 1,
+                    None => {
+                        c.folded.insert(path.clone(), 1);
+                    }
+                }
+            });
+            true
+        });
         SpanSampler {
-            inner,
-            stop,
-            handle: Mutex::new(Some(handle)),
+            counts,
+            ticker,
             interval,
         }
     }
@@ -132,31 +93,24 @@ impl SpanSampler {
     /// the interval is long. Idempotent; after it returns, the folded
     /// counts are final and include every tick taken before the join.
     pub fn stop(&self) {
-        {
-            let (lock, cvar) = &*self.stop;
-            *lock.lock().expect("sampler stop lock") = true;
-            cvar.notify_all();
-        }
-        if let Some(handle) = self.handle.lock().expect("sampler handle lock").take() {
-            handle.join().expect("sampler thread panicked");
-        }
+        self.ticker.stop();
     }
 
     /// Sampler wake-ups so far (one per interval elapsed).
     pub fn ticks(&self) -> u64 {
-        self.inner.lock().expect("sampler lock").ticks
+        lock(&self.counts).ticks
     }
 
     /// Total per-thread samples taken (busy + idle): each tick samples
-    /// every registered thread once.
+    /// every thread the journal knows once.
     pub fn samples(&self) -> u64 {
-        let inner = self.inner.lock().expect("sampler lock");
-        inner.busy + inner.idle
+        let c = lock(&self.counts);
+        c.busy + c.idle
     }
 
     /// Per-thread samples that found an empty span stack.
     pub fn idle(&self) -> u64 {
-        self.inner.lock().expect("sampler lock").idle
+        lock(&self.counts).idle
     }
 
     /// The sampled profile in folded-stack format — one
@@ -164,51 +118,22 @@ impl SpanSampler {
     /// path — ready for `inferno`/`flamegraph.pl`. Values are sample
     /// counts; multiply by [`SpanSampler::interval`] for wall time.
     pub fn to_folded_stacks(&self) -> String {
-        let inner = self.inner.lock().expect("sampler lock");
-        let mut out = String::new();
-        for (path, count) in &inner.folded {
-            out.push_str(path);
-            out.push(' ');
-            out.push_str(&count.to_string());
-            out.push('\n');
-        }
-        out
+        lock(&self.counts)
+            .folded
+            .iter()
+            .map(|(path, count)| format!("{path} {count}\n"))
+            .collect()
     }
 
     /// The distinct sampled paths and their counts, hottest first.
     pub fn folded_counts(&self) -> Vec<(String, u64)> {
-        let inner = self.inner.lock().expect("sampler lock");
-        let mut v: Vec<(String, u64)> = inner.folded.iter().map(|(p, &c)| (p.clone(), c)).collect();
+        let mut v: Vec<(String, u64)> = lock(&self.counts)
+            .folded
+            .iter()
+            .map(|(p, &c)| (p.clone(), c))
+            .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
-    }
-}
-
-impl Drop for SpanSampler {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl crate::Recorder for SpanSampler {
-    fn counter(&self, _name: &'static str, _delta: u64) {}
-
-    fn histogram(&self, _name: &'static str, _value: u64) {}
-
-    fn span_enter(&self, name: &'static str) {
-        let mut inner = self.inner.lock().expect("sampler lock");
-        inner.stack_mut(thread::current().id()).push(name);
-    }
-
-    fn span_exit(&self, name: &'static str, _nanos: u64) {
-        let mut inner = self.inner.lock().expect("sampler lock");
-        let stack = inner.stack_mut(thread::current().id());
-        // Close the innermost open span with this name; anything opened
-        // after it is abandoned (same policy as the tracer's rposition
-        // drain), so a malformed exit can never leave the stack torn.
-        if let Some(idx) = stack.iter().rposition(|&s| s == name) {
-            stack.truncate(idx);
-        }
     }
 }
 
@@ -216,17 +141,24 @@ impl crate::Recorder for SpanSampler {
 mod tests {
     use super::*;
     use crate::Recorder as _;
+    use std::thread;
+
+    fn started(interval: Duration) -> (Arc<Journal>, SpanSampler) {
+        let journal = Arc::new(Journal::default());
+        let sampler = SpanSampler::start(Arc::clone(&journal), interval);
+        (journal, sampler)
+    }
 
     #[test]
     fn clean_shutdown_joins_without_losing_samples() {
-        let sampler = SpanSampler::start(Duration::from_micros(50));
-        sampler.span_enter("t.outer");
-        sampler.span_enter("t.inner");
+        let (journal, sampler) = started(Duration::from_micros(50));
+        journal.span_enter("t.outer");
+        journal.span_enter("t.inner");
         while sampler.ticks() < 20 {
             thread::sleep(Duration::from_micros(100));
         }
-        sampler.span_exit("t.inner", 1);
-        sampler.span_exit("t.outer", 1);
+        journal.span_exit("t.inner", 1);
+        journal.span_exit("t.outer", 1);
         sampler.stop();
         sampler.stop(); // idempotent
         let folded: u64 = sampler.folded_counts().iter().map(|&(_, c)| c).sum();
@@ -247,21 +179,18 @@ mod tests {
 
     #[test]
     fn sampling_mid_span_exit_never_tears_a_stack() {
-        let sampler = Arc::new(SpanSampler::start(Duration::from_micros(20)));
-        let worker = {
-            let sampler = Arc::clone(&sampler);
-            thread::spawn(move || {
-                for _ in 0..20_000 {
-                    sampler.span_enter("t.a");
-                    sampler.span_enter("t.b");
-                    sampler.span_exit("t.b", 1);
-                    // Exit out of order once in a while: close t.a with
-                    // t.c still open; the stack must stay well-formed.
-                    sampler.span_enter("t.c");
-                    sampler.span_exit("t.a", 1);
-                }
-            })
-        };
+        let (journal, sampler) = started(Duration::from_micros(20));
+        let worker = thread::spawn(move || {
+            for _ in 0..20_000 {
+                journal.span_enter("t.a");
+                journal.span_enter("t.b");
+                journal.span_exit("t.b", 1);
+                // Exit out of order once in a while: close t.a with
+                // t.c still open; the stack must stay well-formed.
+                journal.span_enter("t.c");
+                journal.span_exit("t.a", 1);
+            }
+        });
         worker.join().expect("worker");
         sampler.stop();
         let folded = sampler.to_folded_stacks();
@@ -281,8 +210,8 @@ mod tests {
 
     #[test]
     fn stop_returns_promptly_even_with_a_long_interval() {
-        let sampler = SpanSampler::start(Duration::from_secs(3600));
-        sampler.span_enter("t.x");
+        let (journal, sampler) = started(Duration::from_secs(3600));
+        journal.span_enter("t.x");
         let start = std::time::Instant::now();
         sampler.stop();
         assert!(
@@ -293,19 +222,19 @@ mod tests {
 
     #[test]
     fn tracks_threads_independently() {
-        let sampler = Arc::new(SpanSampler::start(Duration::from_micros(50)));
-        sampler.span_enter("t.main");
+        let (journal, sampler) = started(Duration::from_micros(50));
+        journal.span_enter("t.main");
         let other = {
-            let sampler = Arc::clone(&sampler);
+            let journal = Arc::clone(&journal);
             thread::spawn(move || {
-                sampler.span_enter("t.worker");
+                journal.span_enter("t.worker");
                 thread::sleep(Duration::from_millis(5));
-                sampler.span_exit("t.worker", 1);
+                journal.span_exit("t.worker", 1);
             })
         };
         thread::sleep(Duration::from_millis(5));
         other.join().expect("worker");
-        sampler.span_exit("t.main", 1);
+        journal.span_exit("t.main", 1);
         sampler.stop();
         let paths: Vec<String> = sampler
             .folded_counts()

@@ -469,6 +469,10 @@ impl Recorder for StatsRecorder {
         }
     }
 
+    fn attributing(&self) -> bool {
+        true
+    }
+
     fn distinct(&self, name: &'static str, key: u64) {
         let mut inner = self.inner.lock().expect("obs stats lock");
         if inner.seen.entry(name).or_default().insert(key) {

@@ -1,172 +1,44 @@
-//! Event-level tracing: the [`TraceRecorder`] and its exporters.
+//! The trace view: the journal's span timeline as standard profiler
+//! inputs.
 //!
-//! Where [`crate::StatsRecorder`] *aggregates* (one tree node per span,
-//! one total per counter), `TraceRecorder` keeps the *timeline*: a
-//! bounded ring buffer of timestamped span begin/end events, with the
-//! counter deltas that fired inside a span attributed to it and flushed
-//! on its end event. Two exporters turn the buffer into standard
-//! profiler inputs:
-//!
-//! * [`TraceRecorder::to_chrome_trace`] — Chrome trace-event JSON
-//!   (the `{"traceEvents":[...]}` object format), loadable in Perfetto
+//! * [`Journal::to_chrome_trace`]: Chrome trace-event JSON (the
+//!   `{"traceEvents":[...]}` object format), loadable in Perfetto
 //!   (<https://ui.perfetto.dev>) or `chrome://tracing`;
-//! * [`TraceRecorder::to_folded_stacks`] — Brendan Gregg's folded-stack
-//!   format (`a;b;c <self-nanos>` per line) for `flamegraph.pl` and
-//!   compatible tools.
+//! * [`Journal::to_folded_stacks`]: Brendan Gregg's folded-stack format
+//!   (`a;b;c <self-nanos>` per line) for `flamegraph.pl` and compatible
+//!   tools.
 //!
-//! Both are emitted through [`crate::json`] / plain string building — no
-//! external dependencies — and like every recorder, the whole layer
-//! costs one relaxed atomic load per instrumentation point while no
-//! recorder is installed.
-//!
-//! The buffer is bounded ([`TraceRecorder::with_capacity`]): when full,
-//! the *oldest* events are dropped (and counted in
-//! [`TraceRecorder::dropped`]) so a long run keeps its most recent
-//! window rather than aborting or allocating without limit.
+//! Both read the newest [`TRACE_CAPACITY`] span entries of the journal's
+//! rings. The counter and histogram deltas that fired while a span was
+//! innermost ride on its end event.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Mutex;
-use std::thread::ThreadId;
-use std::time::Instant;
+use std::collections::{BTreeMap, HashMap};
 
+use crate::journal::{merge, Entry, EntryKind, Journal, TRACE_CAPACITY};
 use crate::json::JsonValue;
-use crate::Recorder;
 
-/// Default event capacity: plenty for a whole CLI run over the example
-/// schemas, ~a few MB at worst.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-/// Whether a [`TraceEvent`] opens or closes a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// The span just opened.
-    Begin,
-    /// The span just closed; the event carries its attributed counters.
-    End,
-}
-
-/// One timestamped entry in the ring buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Begin or end.
-    pub kind: TraceEventKind,
-    /// Span name (from the [`crate::names`] registry).
-    pub name: &'static str,
-    /// Dense per-recorder thread index (0 = first thread seen).
-    pub tid: u32,
-    /// Nanoseconds since the recorder was created.
-    pub ts_nanos: u64,
-    /// Counter deltas that fired while this span was innermost on its
-    /// thread. Empty for [`TraceEventKind::Begin`].
-    pub counters: BTreeMap<&'static str, u64>,
-}
-
-#[derive(Debug)]
-struct OpenSpan {
-    name: &'static str,
-    counters: BTreeMap<&'static str, u64>,
-}
-
-#[derive(Debug, Default)]
-struct ThreadState {
-    open: Vec<OpenSpan>,
-}
-
-#[derive(Debug, Default)]
-struct TraceInner {
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-    threads: Vec<ThreadState>,
-    tids: HashMap<ThreadId, u32>,
-    /// Counter deltas that fired with no span open on their thread.
-    unattributed: BTreeMap<&'static str, u64>,
-}
-
-/// An event-level [`Recorder`]: a bounded ring buffer of span
-/// begin/end events with per-span counter attribution.
-///
-/// Histogram observations are attributed like counters: the sample
-/// value is *summed* into the innermost open span under the histogram's
-/// name (the timeline view cares where the work happened; the
-/// distribution view is [`crate::StatsRecorder`]'s job).
-#[derive(Debug)]
-pub struct TraceRecorder {
-    start: Instant,
-    capacity: usize,
-    inner: Mutex<TraceInner>,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-}
-
-impl TraceRecorder {
-    /// A recorder with the [`DEFAULT_CAPACITY`] event buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A recorder whose ring buffer holds at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceRecorder {
-            start: Instant::now(),
-            capacity: capacity.max(2),
-            inner: Mutex::new(TraceInner::default()),
-        }
-    }
-
-    /// Number of events evicted because the ring buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("obs trace lock").dropped
-    }
-
-    /// Snapshot of the buffered events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let inner = self.inner.lock().expect("obs trace lock");
-        inner.events.iter().cloned().collect()
-    }
-
-    /// Counter deltas that fired while no span was open on their thread.
-    pub fn unattributed_counters(&self) -> Vec<(&'static str, u64)> {
-        let inner = self.inner.lock().expect("obs trace lock");
-        inner.unattributed.iter().map(|(&k, &v)| (k, v)).collect()
-    }
-
-    fn now_nanos(&self) -> u64 {
-        self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    fn push(inner: &mut TraceInner, capacity: usize, ev: TraceEvent) {
-        if inner.events.len() >= capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(ev);
-    }
-
-    fn tid(inner: &mut TraceInner) -> u32 {
-        let id = std::thread::current().id();
-        if let Some(&t) = inner.tids.get(&id) {
-            return t;
-        }
-        let t = inner.threads.len() as u32;
-        inner.tids.insert(id, t);
-        inner.threads.push(ThreadState::default());
-        t
+impl Journal {
+    /// The retained span entries, oldest first, at most [`TRACE_CAPACITY`].
+    fn span_entries(&self) -> Vec<Entry> {
+        let mut spans: Vec<Entry> = self
+            .entries()
+            .into_iter()
+            .filter(|e| !matches!(e.kind, EntryKind::Event { .. }))
+            .collect();
+        spans.drain(..spans.len().saturating_sub(TRACE_CAPACITY));
+        spans
     }
 
     /// Chrome trace-event JSON (object format): `{"traceEvents":[...],
     /// "displayTimeUnit":"ns"}`. Timestamps are microseconds (the
-    /// format's unit), as fractional values, relative to recorder
+    /// format's unit), as fractional values, relative to journal
     /// creation. Spans still open at export time appear as `B` events
-    /// without a matching `E` — Perfetto renders them as running to the
+    /// without a matching `E`: Perfetto renders them as running to the
     /// end of the trace, which is exactly right for a run that failed
     /// mid-span.
     pub fn to_chrome_trace(&self) -> String {
-        let inner = self.inner.lock().expect("obs trace lock");
-        let mut events: Vec<JsonValue> = Vec::with_capacity(inner.events.len() + 2);
+        let spans = self.span_entries();
+        let mut events: Vec<JsonValue> = Vec::with_capacity(spans.len() + 2);
         events.push(JsonValue::object([
             ("ph", JsonValue::string("M")),
             ("pid", JsonValue::number(1.0)),
@@ -176,51 +48,42 @@ impl TraceRecorder {
                 JsonValue::object([("name", JsonValue::string("chc"))]),
             ),
         ]));
-        for ev in &inner.events {
+        for e in &spans {
             let mut fields = vec![
                 (
                     "ph",
-                    JsonValue::string(match ev.kind {
-                        TraceEventKind::Begin => "B",
-                        TraceEventKind::End => "E",
+                    JsonValue::string(match e.kind {
+                        EntryKind::Enter => "B",
+                        _ => "E",
                     }),
                 ),
                 ("pid", JsonValue::number(1.0)),
-                ("tid", JsonValue::number(ev.tid as f64)),
-                ("ts", JsonValue::number(ev.ts_nanos as f64 / 1_000.0)),
-                ("name", JsonValue::string(ev.name)),
+                ("tid", JsonValue::number(e.thread as f64)),
+                ("ts", JsonValue::number(e.nanos as f64 / 1_000.0)),
+                ("name", JsonValue::string(e.name)),
                 ("cat", JsonValue::string("chc")),
             ];
-            if !ev.counters.is_empty() {
-                fields.push((
-                    "args",
-                    JsonValue::object(
-                        ev.counters
-                            .iter()
-                            .map(|(&k, &v)| (k, JsonValue::number(v as f64))),
-                    ),
-                ));
+            if let EntryKind::Exit { counters, .. } = &e.kind {
+                if !counters.is_empty() {
+                    fields.push(("args", counters_json(merge(counters))));
+                }
             }
             events.push(JsonValue::object(fields));
         }
-        if !inner.unattributed.is_empty() {
+        let unattributed = self.unattributed_counters();
+        if !unattributed.is_empty() {
             events.push(JsonValue::object([
                 ("ph", JsonValue::string("i")),
                 ("pid", JsonValue::number(1.0)),
                 ("tid", JsonValue::number(0.0)),
-                ("ts", JsonValue::number(self.now_nanos() as f64 / 1_000.0)),
+                (
+                    "ts",
+                    JsonValue::number(self.elapsed().as_nanos() as f64 / 1_000.0),
+                ),
                 ("s", JsonValue::string("g")),
                 ("name", JsonValue::string("counters.unattributed")),
                 ("cat", JsonValue::string("chc")),
-                (
-                    "args",
-                    JsonValue::object(
-                        inner
-                            .unattributed
-                            .iter()
-                            .map(|(&k, &v)| (k, JsonValue::number(v as f64))),
-                    ),
-                ),
+                ("args", counters_json(unattributed)),
             ]));
         }
         JsonValue::object([
@@ -237,177 +100,50 @@ impl TraceRecorder {
     /// self time is not yet known); ends whose begin was evicted from
     /// the ring are skipped likewise.
     pub fn to_folded_stacks(&self) -> String {
-        let inner = self.inner.lock().expect("obs trace lock");
-        // Per-tid reconstruction stack: (name, begin_ts, child_nanos).
-        let mut stacks: HashMap<u32, Vec<(&'static str, u64, u64)>> = HashMap::new();
+        // Per-thread reconstruction stack: (name, begin_ts, child_nanos).
+        let mut stacks: HashMap<usize, Vec<(&'static str, u64, u64)>> = HashMap::new();
         let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-        for ev in &inner.events {
-            let stack = stacks.entry(ev.tid).or_default();
-            match ev.kind {
-                TraceEventKind::Begin => stack.push((ev.name, ev.ts_nanos, 0)),
-                TraceEventKind::End => {
-                    // Tolerate a begin evicted from the ring: only pop if
-                    // the top matches this end's name.
-                    if stack.last().map(|(n, _, _)| *n) != Some(ev.name) {
-                        continue;
-                    }
-                    let (name, begin_ts, child_nanos) = stack.pop().expect("non-empty");
-                    let total = ev.ts_nanos.saturating_sub(begin_ts);
-                    if let Some(parent) = stack.last_mut() {
-                        parent.2 = parent.2.saturating_add(total);
-                    }
-                    let mut path: Vec<&str> = stack.iter().map(|(n, _, _)| *n).collect();
-                    path.push(name);
-                    *folded.entry(path.join(";")).or_insert(0) += total.saturating_sub(child_nanos);
-                }
+        for e in self.span_entries() {
+            let stack = stacks.entry(e.thread).or_default();
+            if let EntryKind::Enter = e.kind {
+                stack.push((e.name, e.nanos, 0));
+                continue;
             }
+            // Tolerate a begin evicted from the ring: only pop if the
+            // top matches this end's name.
+            if stack.last().map(|(n, _, _)| *n) != Some(e.name) {
+                continue;
+            }
+            let (name, begin, child_nanos) = stack.pop().expect("non-empty");
+            let total = e.nanos.saturating_sub(begin);
+            if let Some(parent) = stack.last_mut() {
+                parent.2 = parent.2.saturating_add(total);
+            }
+            let mut path: Vec<&str> = stack.iter().map(|(n, _, _)| *n).collect();
+            path.push(name);
+            *folded.entry(path.join(";")).or_insert(0) += total.saturating_sub(child_nanos);
         }
-        let mut out = String::new();
-        for (path, nanos) in &folded {
-            out.push_str(&format!("{path} {nanos}\n"));
-        }
-        out
+        folded
+            .iter()
+            .map(|(path, nanos)| format!("{path} {nanos}\n"))
+            .collect()
     }
 }
 
-impl Recorder for TraceRecorder {
-    fn counter(&self, name: &'static str, delta: u64) {
-        let mut guard = self.inner.lock().expect("obs trace lock");
-        let inner = &mut *guard;
-        let tid = Self::tid(inner);
-        match inner.threads[tid as usize].open.last_mut() {
-            Some(span) => *span.counters.entry(name).or_insert(0) += delta,
-            None => *inner.unattributed.entry(name).or_insert(0) += delta,
-        }
-    }
-
-    fn histogram(&self, name: &'static str, value: u64) {
-        // Attributed like a counter: the timeline cares where the
-        // samples came from, not about their distribution.
-        self.counter(name, value);
-    }
-
-    fn span_enter(&self, name: &'static str) {
-        let ts = self.now_nanos();
-        let mut guard = self.inner.lock().expect("obs trace lock");
-        let inner = &mut *guard;
-        let tid = Self::tid(inner);
-        inner.threads[tid as usize].open.push(OpenSpan {
-            name,
-            counters: BTreeMap::new(),
-        });
-        Self::push(
-            inner,
-            self.capacity,
-            TraceEvent {
-                kind: TraceEventKind::Begin,
-                name,
-                tid,
-                ts_nanos: ts,
-                counters: BTreeMap::new(),
-            },
-        );
-    }
-
-    fn span_exit(&self, name: &'static str, _nanos: u64) {
-        let ts = self.now_nanos();
-        let mut guard = self.inner.lock().expect("obs trace lock");
-        let inner = &mut *guard;
-        let tid = Self::tid(inner);
-        let open = &mut inner.threads[tid as usize].open;
-        // Mirror StatsRecorder's tolerance: close the innermost span
-        // with this name; guards dropped out of order close everything
-        // opened after it first (at the same timestamp), keeping the
-        // B/E stream well nested. An exit with no match is dropped.
-        let Some(idx) = open.iter().rposition(|s| s.name == name) else {
-            return;
-        };
-        let closing: Vec<OpenSpan> = open.drain(idx..).collect();
-        for span in closing.into_iter().rev() {
-            Self::push(
-                inner,
-                self.capacity,
-                TraceEvent {
-                    kind: TraceEventKind::End,
-                    name: span.name,
-                    tid,
-                    ts_nanos: ts,
-                    counters: span.counters,
-                },
-            );
-        }
-    }
-}
-
-/// Forwards every event to each of a set of recorders, so `--trace`
-/// (aggregated) and `--trace-out` (event-level) can observe one run.
-pub struct FanoutRecorder {
-    sinks: Vec<std::sync::Arc<dyn Recorder>>,
-}
-
-impl FanoutRecorder {
-    /// A recorder fanning out to `sinks`, in order.
-    pub fn new(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
-        FanoutRecorder { sinks }
-    }
-}
-
-impl Recorder for FanoutRecorder {
-    fn counter(&self, name: &'static str, delta: u64) {
-        for s in &self.sinks {
-            s.counter(name, delta);
-        }
-    }
-
-    fn histogram(&self, name: &'static str, value: u64) {
-        for s in &self.sinks {
-            s.histogram(name, value);
-        }
-    }
-
-    fn span_enter(&self, name: &'static str) {
-        for s in &self.sinks {
-            s.span_enter(name);
-        }
-    }
-
-    fn span_exit(&self, name: &'static str, nanos: u64) {
-        for s in &self.sinks {
-            s.span_exit(name, nanos);
-        }
-    }
-
-    fn event(&self, event: &crate::events::Event) {
-        for s in &self.sinks {
-            s.event(event);
-        }
-    }
-
-    fn labeled_counter(&self, name: &'static str, label: u64, delta: u64) {
-        for s in &self.sinks {
-            s.labeled_counter(name, label, delta);
-        }
-    }
-
-    fn labeled_histogram(&self, name: &'static str, label: u64, value: u64) {
-        for s in &self.sinks {
-            s.labeled_histogram(name, label, value);
-        }
-    }
-
-    fn distinct(&self, name: &'static str, key: u64) {
-        for s in &self.sinks {
-            s.distinct(name, key);
-        }
-    }
+fn counters_json(counters: impl IntoIterator<Item = (&'static str, u64)>) -> JsonValue {
+    JsonValue::object(
+        counters
+            .into_iter()
+            .map(|(k, v)| (k, JsonValue::number(v as f64))),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::{json, Recorder};
 
-    fn run_demo(r: &TraceRecorder) {
+    fn run_demo(r: &Journal) {
         r.span_enter("outer");
         r.counter("work", 2);
         r.span_enter("inner");
@@ -418,48 +154,62 @@ mod tests {
         r.counter("stray", 1);
     }
 
+    fn kinds(r: &Journal) -> Vec<(&'static str, &'static str)> {
+        r.entries()
+            .iter()
+            .map(|e| (e.kind.label(), e.name))
+            .collect()
+    }
+
+    fn deltas(e: &Entry) -> BTreeMap<&'static str, u64> {
+        match &e.kind {
+            EntryKind::Exit { counters, .. } => merge(counters),
+            _ => BTreeMap::new(),
+        }
+    }
+
     #[test]
     fn events_record_in_order_with_attribution() {
-        let r = TraceRecorder::new();
+        let r = Journal::new(TRACE_CAPACITY);
         run_demo(&r);
-        let evs = r.events();
+        let evs = r.entries();
         assert_eq!(evs.len(), 4);
         assert_eq!(
-            evs.iter().map(|e| (e.kind, e.name)).collect::<Vec<_>>(),
+            kinds(&r),
             vec![
-                (TraceEventKind::Begin, "outer"),
-                (TraceEventKind::Begin, "inner"),
-                (TraceEventKind::End, "inner"),
-                (TraceEventKind::End, "outer"),
+                ("enter", "outer"),
+                ("enter", "inner"),
+                ("exit", "inner"),
+                ("exit", "outer"),
             ]
         );
-        // Counter deltas ride on the End event of the innermost span.
-        assert_eq!(evs[2].counters.get("work"), Some(&5));
-        assert_eq!(evs[2].counters.get("fanout"), Some(&3));
-        assert_eq!(evs[3].counters.get("work"), Some(&2));
+        // Counter deltas ride on the exit of the innermost span.
+        assert_eq!(deltas(&evs[2]).get("work"), Some(&5));
+        assert_eq!(deltas(&evs[2]).get("fanout"), Some(&3));
+        assert_eq!(deltas(&evs[3]).get("work"), Some(&2));
         assert_eq!(r.unattributed_counters(), vec![("stray", 1)]);
         // Timestamps are monotone.
-        assert!(evs.windows(2).all(|w| w[0].ts_nanos <= w[1].ts_nanos));
+        assert!(evs.windows(2).all(|w| w[0].nanos <= w[1].nanos));
     }
 
     #[test]
     fn ring_buffer_drops_oldest() {
-        let r = TraceRecorder::with_capacity(4);
+        let r = Journal::new(4);
         for _ in 0..4 {
             r.span_enter("s");
             r.span_exit("s", 0);
         }
-        assert_eq!(r.events().len(), 4);
+        assert_eq!(r.entries().len(), 4);
         assert_eq!(r.dropped(), 4);
         // Oldest events went first: buffer holds the last two pairs.
-        assert_eq!(r.events()[0].kind, TraceEventKind::Begin);
+        assert_eq!(r.entries()[0].kind.label(), "enter");
     }
 
     #[test]
     fn exporters_stay_well_formed_after_ring_overflow() {
         // Fill well past capacity so begins are evicted while their ends
         // remain: both exporters must still emit valid output.
-        let r = TraceRecorder::with_capacity(4);
+        let r = Journal::new(4);
         r.span_enter("run");
         for _ in 0..16 {
             r.span_enter("step");
@@ -495,8 +245,26 @@ mod tests {
     }
 
     #[test]
+    fn trace_view_keeps_spans_only() {
+        let r = Journal::new(TRACE_CAPACITY);
+        r.span_enter("s");
+        r.event(&crate::Event::new(crate::EventLevel::Audit, "t.event"));
+        r.span_exit("s", 0);
+        let doc = json::parse(&r.to_chrome_trace()).unwrap();
+        let names: Vec<&str> = doc
+            .get("traceEvents")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter_map(|e| e.get("name").and_then(JsonValue::as_str))
+            .collect();
+        assert_eq!(names, ["process_name", "s", "s"]);
+    }
+
+    #[test]
     fn chrome_trace_round_trips_and_nests() {
-        let r = TraceRecorder::new();
+        let r = Journal::new(TRACE_CAPACITY);
         run_demo(&r);
         let text = r.to_chrome_trace();
         let doc = json::parse(&text).expect("chrome trace parses");
@@ -524,7 +292,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_show_paths_and_self_time() {
-        let r = TraceRecorder::new();
+        let r = Journal::new(TRACE_CAPACITY);
         run_demo(&r);
         let folded = r.to_folded_stacks();
         let lines: Vec<&str> = folded.lines().collect();
@@ -542,34 +310,27 @@ mod tests {
 
     #[test]
     fn out_of_order_exits_stay_well_nested() {
-        let r = TraceRecorder::new();
+        let r = Journal::new(TRACE_CAPACITY);
         r.span_enter("a");
         r.span_enter("b");
         r.span_exit("a", 0); // 'b' still open: closed first, same ts
-        let kinds: Vec<(TraceEventKind, &str)> =
-            r.events().iter().map(|e| (e.kind, e.name)).collect();
         assert_eq!(
-            kinds,
-            vec![
-                (TraceEventKind::Begin, "a"),
-                (TraceEventKind::Begin, "b"),
-                (TraceEventKind::End, "b"),
-                (TraceEventKind::End, "a"),
-            ]
+            kinds(&r),
+            vec![("enter", "a"), ("enter", "b"), ("exit", "b"), ("exit", "a")]
         );
         // Exit with no matching open span is dropped, not a panic.
         r.span_exit("ghost", 0);
-        assert_eq!(r.events().len(), 4);
+        assert_eq!(r.entries().len(), 4);
     }
 
     #[test]
     fn fanout_feeds_all_sinks() {
         use std::sync::Arc;
         let stats = Arc::new(crate::StatsRecorder::new());
-        let trace = Arc::new(TraceRecorder::new());
-        let fan = FanoutRecorder::new(vec![
+        let journal = Arc::new(Journal::new(TRACE_CAPACITY));
+        let fan = crate::FanoutRecorder::new(vec![
             stats.clone() as Arc<dyn Recorder>,
-            trace.clone() as Arc<dyn Recorder>,
+            journal.clone() as Arc<dyn Recorder>,
         ]);
         fan.span_enter("s");
         fan.counter("c", 2);
@@ -577,7 +338,8 @@ mod tests {
         fan.span_exit("s", 10);
         assert_eq!(stats.counter_value("c"), 2);
         assert_eq!(stats.histogram_summary("h").unwrap().count, 1);
-        assert_eq!(trace.events().len(), 2);
-        assert_eq!(trace.events()[1].counters.get("c"), Some(&2));
+        let entries = journal.entries();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(deltas(&entries[1]).get("c"), Some(&2));
     }
 }

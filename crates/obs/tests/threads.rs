@@ -7,11 +7,17 @@
 //! seeded-schedule stress test on std threads: every thread derives its
 //! op sequence (span nesting, counter bumps, yields) from a SplitMix64
 //! stream, a barrier lines the threads up to maximize interleaving, and
-//! the expected per-thread totals are recomputed independently.
+//! the expected per-thread totals are recomputed independently. A reader
+//! thread takes crash-view snapshots and samplers read the journals
+//! while the schedules run; neither may ever see a torn stack.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
-use chc_obs::{FanoutRecorder, StatsRecorder, TraceEventKind, TraceRecorder};
+use chc_obs::journal::TRACE_CAPACITY;
+use chc_obs::json::JsonValue;
+use chc_obs::{EntryKind, FanoutRecorder, Journal, SpanSampler, StatsRecorder};
 
 /// SplitMix64, same constants as `chc_workloads::rng` (obs cannot
 /// depend on workloads without a cycle).
@@ -60,32 +66,95 @@ fn run_schedule(seed: u64, ops: usize) -> u64 {
     expected
 }
 
+/// The schedule opens `SPANS[depth]` at depth `depth`, so every stack a
+/// reader sees must be a prefix of `SPANS`: no empty or unknown frame,
+/// no frame out of place.
+fn assert_untorn(stack: &[&str], what: &str) {
+    assert!(
+        stack.len() <= SPANS.len(),
+        "{what}: stack too deep: {stack:?}"
+    );
+    assert_eq!(stack, &SPANS[..stack.len()], "{what}: torn stack");
+}
+
 #[test]
 fn concurrent_scoped_recorders_do_not_cross_attribute() {
     let threads = 8;
     let ops = 4000;
+    let journals: Vec<Arc<Journal>> = (0..threads)
+        .map(|_| Arc::new(Journal::new(TRACE_CAPACITY)))
+        .collect();
+    let samplers: Vec<SpanSampler> = journals
+        .iter()
+        .map(|j| SpanSampler::start(j.clone(), Duration::from_micros(200)))
+        .collect();
+    let done = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let journals = journals.clone();
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let mut snapshots = 0u64;
+            loop {
+                let last = done.load(Ordering::Acquire);
+                for journal in &journals {
+                    let doc = chc_obs::crash::crash_report("stall", "probe", journal);
+                    let text = doc.render();
+                    let doc = chc_obs::json::parse(&text).expect("crash view parses");
+                    for t in doc.get("threads").and_then(JsonValue::as_array).unwrap() {
+                        let stack: Vec<&str> = t
+                            .get("stack")
+                            .and_then(JsonValue::as_array)
+                            .unwrap()
+                            .iter()
+                            .map(|f| f.as_str().expect("frame is a string"))
+                            .collect();
+                        assert_untorn(&stack, "crash view");
+                    }
+                    for stack in journal.stacks() {
+                        assert_untorn(&stack, "journal stacks");
+                    }
+                    snapshots += 1;
+                }
+                if last {
+                    return snapshots;
+                }
+            }
+        })
+    };
     let barrier = Arc::new(Barrier::new(threads));
     let handles: Vec<_> = (0..threads as u64)
-        .map(|t| {
+        .zip(journals.iter().cloned())
+        .map(|(t, journal)| {
             let barrier = barrier.clone();
             std::thread::spawn(move || {
                 let stats = Arc::new(StatsRecorder::new());
-                let trace = Arc::new(TraceRecorder::new());
                 let fan: Arc<dyn chc_obs::Recorder> = Arc::new(FanoutRecorder::new(vec![
                     stats.clone() as Arc<dyn chc_obs::Recorder>,
-                    trace.clone() as Arc<dyn chc_obs::Recorder>,
+                    journal.clone() as Arc<dyn chc_obs::Recorder>,
                 ]));
                 barrier.wait();
                 let expected = {
                     let _guard = chc_obs::scoped(fan);
                     run_schedule(0xC0FFEE + t, ops)
                 };
-                (t, expected, stats, trace)
+                (t, expected, stats, journal)
             })
         })
         .collect();
-    for h in handles {
-        let (t, expected, stats, trace) = h.join().expect("thread survives");
+    let results: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("thread survives"))
+        .collect();
+    done.store(true, Ordering::Release);
+    assert!(reader.join().expect("reader survives") >= threads as u64);
+    for sampler in &samplers {
+        sampler.stop();
+        for line in sampler.to_folded_stacks().lines() {
+            let (path, _) = line.rsplit_once(' ').expect("`path count` shape");
+            assert_untorn(&path.split(';').collect::<Vec<_>>(), "sampler");
+        }
+    }
+    for (t, expected, stats, journal) in results {
         // Exact attribution: each recorder saw its own thread's deltas,
         // all of them, and nothing else.
         assert_eq!(
@@ -93,6 +162,12 @@ fn concurrent_scoped_recorders_do_not_cross_attribute() {
             expected,
             "thread {t} counter total"
         );
+        let totals = journal.counters();
+        let journal_total = totals
+            .iter()
+            .find(|(n, _)| *n == "t.work")
+            .map_or(0, |c| c.1);
+        assert_eq!(journal_total, expected, "thread {t} journal total");
         // The span tree is well formed: only the expected names, and the
         // nesting discipline (t.a at depth 0, t.b below it, …) held.
         fn check(node: &chc_obs::SpanNode, depth: usize, t: u64) {
@@ -104,31 +179,41 @@ fn concurrent_scoped_recorders_do_not_cross_attribute() {
         for root in stats.span_roots() {
             check(&root, 0, t);
         }
-        // The event timeline is well nested per thread and single-tid.
-        let events = trace.events();
-        assert!(events.iter().all(|e| e.tid == 0), "thread {t} saw one tid");
+        // The timeline is well nested per thread and single-tid.
+        let entries = journal.entries();
+        assert_eq!(journal.dropped(), 0, "thread {t} ring held the run");
+        assert!(
+            entries.iter().all(|e| e.thread == 0),
+            "thread {t} saw one tid"
+        );
         let mut stack = Vec::new();
-        for ev in &events {
-            match ev.kind {
-                TraceEventKind::Begin => stack.push(ev.name),
-                TraceEventKind::End => {
-                    assert_eq!(stack.pop(), Some(ev.name), "thread {t} B/E nesting");
+        let mut end_total = 0;
+        for e in &entries {
+            match &e.kind {
+                EntryKind::Enter => stack.push(e.name),
+                EntryKind::Exit { counters, .. } => {
+                    assert_eq!(stack.pop(), Some(e.name), "thread {t} B/E nesting");
+                    end_total += counters
+                        .iter()
+                        .filter(|(n, _)| *n == "t.work")
+                        .map(|(_, v)| v)
+                        .sum::<u64>();
                 }
+                EntryKind::Event { .. } => panic!("thread {t} emitted no events"),
             }
         }
         // Every span was closed, so the sum of End-event deltas plus
         // unattributed deltas accounts for every bump.
-        let trace_total: u64 = events
+        let unattributed = journal
+            .unattributed_counters()
             .iter()
-            .flat_map(|e| e.counters.get("t.work").copied())
-            .sum::<u64>()
-            + trace
-                .unattributed_counters()
-                .iter()
-                .find(|(n, _)| *n == "t.work")
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
-        assert_eq!(trace_total, expected, "thread {t} trace counter total");
+            .find(|(n, _)| *n == "t.work")
+            .map_or(0, |(_, v)| *v);
+        assert_eq!(
+            end_total + unattributed,
+            expected,
+            "thread {t} trace counter total"
+        );
     }
 }
 
@@ -165,22 +250,49 @@ fn global_and_scoped_recorders_coexist_across_threads() {
     assert_eq!(mine.counter_value("t.global_only"), 0);
     assert_eq!(global.counter_value("t.global_only"), 1000);
     assert_eq!(global.counter_value("t.scoped_only"), 0);
+
+    // Threads cache the process-wide recorder; replacing or clearing it
+    // must reach a thread that has already recorded into the old one.
+    let first = Arc::new(StatsRecorder::new());
+    let second = Arc::new(StatsRecorder::new());
+    chc_obs::set_global(first.clone());
+    let (go, wait) = std::sync::mpsc::channel::<()>();
+    let (done, recorded) = std::sync::mpsc::channel::<()>();
+    let worker = std::thread::spawn(move || {
+        for _ in 0..3 {
+            wait.recv().unwrap();
+            chc_obs::counter("t.swap", 1);
+            done.send(()).unwrap();
+        }
+    });
+    let step = || {
+        go.send(()).unwrap();
+        recorded.recv().unwrap();
+    };
+    step();
+    chc_obs::set_global(second.clone());
+    step();
+    chc_obs::clear_global();
+    step();
+    worker.join().unwrap();
+    assert_eq!(first.counter_value("t.swap"), 1);
+    assert_eq!(second.counter_value("t.swap"), 1);
 }
 
 #[test]
-fn one_trace_recorder_shared_by_many_threads_keeps_tids_apart() {
-    // The CLI installs a single global TraceRecorder; if the traced code
-    // ever goes parallel, per-thread open-span stacks must keep each
+fn one_journal_shared_by_many_threads_keeps_tids_apart() {
+    // The CLI installs a single global journal; when the traced code
+    // goes parallel, per-thread open-span stacks must keep each
     // thread's timeline self-consistent.
-    let trace = Arc::new(TraceRecorder::new());
+    let journal = Arc::new(Journal::new(TRACE_CAPACITY));
     let threads = 4;
     let barrier = Arc::new(Barrier::new(threads));
     let handles: Vec<_> = (0..threads)
         .map(|_| {
-            let trace = trace.clone();
+            let journal = journal.clone();
             let barrier = barrier.clone();
             std::thread::spawn(move || {
-                let r: Arc<dyn chc_obs::Recorder> = trace;
+                let r: Arc<dyn chc_obs::Recorder> = journal;
                 barrier.wait();
                 for _ in 0..200 {
                     r.span_enter("t.outer");
@@ -195,25 +307,25 @@ fn one_trace_recorder_shared_by_many_threads_keeps_tids_apart() {
     for h in handles {
         h.join().unwrap();
     }
-    let events = trace.events();
-    let tids: std::collections::BTreeSet<u32> = events.iter().map(|e| e.tid).collect();
+    let entries = journal.entries();
+    let tids: std::collections::BTreeSet<usize> = entries.iter().map(|e| e.thread).collect();
     assert_eq!(tids.len(), threads, "each thread got its own tid");
     for &tid in &tids {
         let mut stack = Vec::new();
-        for ev in events.iter().filter(|e| e.tid == tid) {
-            match ev.kind {
-                TraceEventKind::Begin => stack.push(ev.name),
-                TraceEventKind::End => assert_eq!(stack.pop(), Some(ev.name)),
+        for e in entries.iter().filter(|e| e.thread == tid) {
+            match e.kind {
+                EntryKind::Enter => stack.push(e.name),
+                _ => assert_eq!(stack.pop(), Some(e.name)),
             }
         }
         assert!(stack.is_empty(), "tid {tid} timeline closed");
     }
     // Counter attribution stayed on the right thread's spans: every
     // t.outer end event carries exactly its own bump.
-    for ev in events
-        .iter()
-        .filter(|e| e.kind == TraceEventKind::End && e.name == "t.outer")
-    {
-        assert_eq!(ev.counters.get("t.n"), Some(&1));
+    for e in entries.iter().filter(|e| e.name == "t.outer") {
+        if let EntryKind::Exit { counters, .. } = &e.kind {
+            assert_eq!(counters, &[("t.n", 1)]);
+        }
     }
+    assert_eq!(journal.counters(), vec![("t.n", (threads * 200) as u64)]);
 }

@@ -68,7 +68,7 @@ pub fn execute(schema: &Schema, store: &ExtentStore, plan: &Plan) -> ExecResult 
     // Attribute everything this execution does (its own counters below,
     // plus the subtype queries the runtime safety checks trigger) to the
     // scanned class — `chc profile query` groups cost by that label.
-    let _label = chc_obs::enabled().then(|| chc_obs::label_scope(plan.class.index() as u64));
+    let _label = chc_obs::attributing().then(|| chc_obs::label_scope(plan.class.index() as u64));
     let mut stats = ExecStats::default();
     let mut values = Vec::new();
     'row: for oid in store.extent(plan.class) {

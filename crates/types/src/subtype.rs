@@ -105,7 +105,7 @@ pub fn subtype(schema: &Schema, a: &Ty, b: &Ty) -> bool {
     // One query per top-level decision; structural recursion goes through
     // `subtype_inner` so deep record types count once.
     chc_obs::counter(chc_obs::names::SUBTYPE_QUERIES, 1);
-    if chc_obs::enabled() {
+    if chc_obs::attributing() {
         chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
         chc_obs::distinct(chc_obs::names::SUBTYPE_QUERIES_DISTINCT, pair_hash(0x54, a, b));
     }
@@ -114,8 +114,8 @@ pub fn subtype(schema: &Schema, a: &Ty, b: &Ty) -> bool {
 
 /// Structural hash of a `(sub, sup)` query, tagged by decision kind so
 /// `subtype` and `cond_subtype` pairs never collide. Only computed while
-/// a recorder is installed; it keys the `subtype.queries.distinct`
-/// duplicate-work counter.
+/// an installed recorder is attributing; it keys the
+/// `subtype.queries.distinct` duplicate-work counter.
 fn pair_hash<T: std::hash::Hash>(tag: u8, a: &T, b: &T) -> u64 {
     use std::hash::{Hash as _, Hasher as _};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -152,7 +152,7 @@ fn subtype_inner(schema: &Schema, a: &Ty, b: &Ty) -> bool {
 /// must fit the base or a pointwise-stronger arm.
 pub fn cond_subtype(schema: &Schema, a: &CondTy, b: &CondTy) -> bool {
     chc_obs::counter(chc_obs::names::SUBTYPE_QUERIES, 1);
-    if chc_obs::enabled() {
+    if chc_obs::attributing() {
         chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
         chc_obs::distinct(chc_obs::names::SUBTYPE_QUERIES_DISTINCT, pair_hash(0x43, a, b));
     }

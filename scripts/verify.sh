@@ -46,7 +46,9 @@ grep -q '"schema":"chc-profile/1"' "$prof"          # tagged document
 grep -q '"subtype.queries.distinct"' "$prof"        # duplicate-work counters
 grep -q '"sat.calls.distinct"' "$prof"
 grep -q '"hot_classes"' "$prof"
-! grep -Evq '^[^ ]+ [0-9]+$' "$flame"               # folded-stack line shape
+if grep -Evq '^[^ ]+ [0-9]+$' "$flame"; then        # folded-stack line shape
+    echo "FAIL: sampled folded stacks have a malformed line" >&2; exit 1
+fi
 test "$(wc -l < "$pout")" -eq 1                     # stdout: one summary line
 grep -q '^profile: check' "$pout"
 
@@ -116,5 +118,27 @@ test -s "$crash_dir/stats.json"                # sinks flushed on the panic path
 grep -q '^chc crash report (panic)' "$dout"    # doctor renders on stdout
 grep -q 'open spans at time of death:' "$dout"
 grep -q 'cli.load' "$dout"
+
+echo "==> journal views smoke: trace, flame and audit outputs of one validate run"
+views="$(mktemp -d "${TMPDIR:-/tmp}/chc-views.XXXXXX")"
+trap 'rm -rf "$crash_dir" "$views"; rm -f "$report" "$prof" "$flame" "$pout" "$mem_err" "$dout"' EXIT
+./target/release/chc validate examples/data/hospital.sdl examples/data/hospital.chd \
+    --trace-out "$views/trace.json" --flame-out "$views/run.folded" \
+    --audit-out "$views/audit.jsonl" --audit-summary >"$views/summary.txt"
+for f in trace.json run.folded audit.jsonl summary.txt; do
+    test -s "$views/$f"
+done
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))["traceEvents"]' "$views/trace.json"
+if grep -Evq '^[^ ]+ [0-9]+$' "$views/run.folded"; then   # `path N` lines
+    echo "FAIL: --flame-out has a malformed line" >&2; exit 1
+fi
+python3 -c 'import json, sys; [json.loads(l) for l in open(sys.argv[1])]' "$views/audit.jsonl"
+grep -q '^audit: ' "$views/summary.txt"
+
+echo "==> stats smoke: the duplicate-work counters the benchmark reads"
+./target/release/chc --stats-out "$views/stats.jsonl" \
+    check crates/workloads/fixtures/evolve400-new.sdl >/dev/null
+grep -q '"name":"subtype.queries.distinct"' "$views/stats.jsonl"
+grep -q '"name":"sat.calls.distinct"' "$views/stats.jsonl"
 
 echo "OK: all verification gates passed"

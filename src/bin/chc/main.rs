@@ -77,14 +77,15 @@
 //! after the command completes, so stdout stays machine-parseable
 //! (`chc lint --format json --stats | jq` works); both aggregate through
 //! a [`chc_obs::StatsRecorder`], and `--stats-out <file>` writes the
-//! same snapshot as line-delimited JSON. `--trace-out <file>` writes the
-//! event-level timeline as Chrome trace-event JSON (open it in
-//! <https://ui.perfetto.dev> or `chrome://tracing`) and `--flame-out
-//! <file>` writes folded stacks for flamegraph tools; both capture
-//! through a [`chc_obs::TraceRecorder`]. `--audit-out <file>` writes the
-//! structured audit ledger (one JSON line per executed run-time check,
-//! naming the admitting excuse for every tolerated deviation) through a
-//! bounded [`chc_obs::AuditRecorder`]. `--profile-out <file>` writes the
+//! same snapshot as line-delimited JSON. Every run records into one
+//! [`chc_obs::Journal`], and the event-level outputs are views of it:
+//! `--trace-out <file>` writes the timeline as Chrome trace-event JSON
+//! (open it in <https://ui.perfetto.dev> or `chrome://tracing`),
+//! `--flame-out <file>` writes folded stacks for flamegraph tools, and
+//! `--audit-out <file>` writes the structured audit ledger (one JSON line
+//! per executed run-time check, naming the admitting excuse for every
+//! tolerated deviation). These flags only size the journal's per-thread
+//! ring to the views they ask for. `--profile-out <file>` writes the
 //! labeled cost-attribution snapshot (per-class counters and nanosecond
 //! histograms, distinct-key counters) through a
 //! [`chc_obs::ProfileRecorder`]; under `chc profile` the same file gets
@@ -96,12 +97,13 @@
 //! Two layers are always on, independent of flags: the
 //! [`chc_obs::memalloc`] tracking allocator (every run knows its
 //! alloc/free/peak totals, surfaced as `mem.*` counters in the stats
-//! snapshot) and a [`chc_obs::FlightRecorder`] black box (a bounded
-//! ring of recent span transitions and counter deltas). A panic — or a
-//! stall, when `--watchdog <dur>` is armed — dumps a round-trip-checked
-//! `chc-crash/1` report to `--crash-out` (or `$CHC_CRASH_DIR`) with the
-//! flight tail, per-thread open-span stacks, counter and memory
-//! snapshots, and the registered schema digest; the same panic hook
+//! snapshot) and the journal (per thread, a bounded ring of recent span
+//! and event transitions, the open-span stack and counter totals). A
+//! panic — or a stall, when `--watchdog <dur>` is armed — dumps its
+//! crash view, a round-trip-checked `chc-crash/1` report, to
+//! `--crash-out` (or `$CHC_CRASH_DIR`) with the newest transitions,
+//! per-thread open-span stacks, counter and memory snapshots, and the
+//! registered schema digest; the same panic hook
 //! also flushes every `--*-out` sink, so a run that dies mid-command
 //! still leaves its evidence on disk. `chc doctor` renders the report.
 
@@ -132,16 +134,17 @@ use args::Args;
 #[global_allocator]
 static ALLOC: chc_obs::memalloc::TrackingAllocator = chc_obs::memalloc::TrackingAllocator;
 
-/// The flag-selected recorders and their `--*-out` destinations,
-/// shareable with the panic hook: both the normal exit path and a
-/// mid-run panic must flush the same files, whichever comes first.
+/// The journal, the flag-selected recorders and their `--*-out`
+/// destinations, shareable with the panic hook: both the normal exit
+/// path and a mid-run panic must flush the same files, whichever comes
+/// first.
 struct Sinks {
+    journal: Arc<chc_obs::Journal>,
     stats: Option<Arc<chc_obs::StatsRecorder>>,
-    trace: Option<Arc<chc_obs::TraceRecorder>>,
-    audit: Option<Arc<chc_obs::AuditRecorder>>,
     profile: Option<Arc<chc_obs::ProfileRecorder>>,
     stats_out: Option<String>,
     trace_out: Option<String>,
+    /// `None` under `chc profile`, which writes *sampled* stacks there.
     flame_out: Option<String>,
     audit_out: Option<String>,
     profile_out: Option<String>,
@@ -187,12 +190,14 @@ impl Sinks {
         if let Some(r) = &self.stats {
             write(&self.stats_out, r.to_json_lines());
         }
-        if let Some(r) = &self.trace {
-            write(&self.trace_out, r.to_chrome_trace());
-            write(&self.flame_out, r.to_folded_stacks());
+        if self.trace_out.is_some() {
+            write(&self.trace_out, self.journal.to_chrome_trace());
         }
-        if let Some(r) = &self.audit {
-            write(&self.audit_out, r.to_json_lines());
+        if self.flame_out.is_some() {
+            write(&self.flame_out, self.journal.to_folded_stacks());
+        }
+        if self.audit_out.is_some() {
+            write(&self.audit_out, self.journal.to_audit_json_lines());
         }
         if !self.is_profile || on_panic {
             if let Some(r) = &self.profile {
@@ -216,8 +221,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Registers the compiled schema in the crash-report context, so a
 /// post-mortem names the exact input that was being processed.
 fn register_schema_context(path: &str, src: &str) {
-    chc_obs::flight::set_context("schema_file", path);
-    chc_obs::flight::set_context(
+    chc_obs::crash::set_context("schema_file", path);
+    chc_obs::crash::set_context(
         "schema_digest",
         &format!("{:016x}", fnv1a64(src.as_bytes())),
     );
@@ -240,12 +245,12 @@ fn panic_message(info: &std::panic::PanicHookInfo<'_>) -> String {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    chc_obs::flight::set_context("bin", concat!("chc ", env!("CARGO_PKG_VERSION")));
-    chc_obs::flight::set_context("argv", &raw.join(" "));
+    chc_obs::crash::set_context("bin", concat!("chc ", env!("CARGO_PKG_VERSION")));
+    chc_obs::crash::set_context("argv", &raw.join(" "));
     // `profile` owns attribution and sampling: it reads its options up
     // front (the recorders need the cap and interval before install) and
     // takes over `--flame-out`, writing *sampled* folded stacks instead
-    // of the tracer's event-derived ones.
+    // of the journal's event-derived ones.
     let parsed = Args::parse(raw).and_then(|args| {
         let watchdog = args
             .value("--watchdog")
@@ -270,12 +275,20 @@ fn main() -> ExitCode {
         args.has("--audit-summary"),
     );
     let out = |name: &str| args.value(name).map(String::from);
+    let flame_out = out("--flame-out").filter(|_| !is_profile);
+    // The journal is always on — the point of a black box is that it was
+    // running *before* anything went wrong — so every chc run installs a
+    // recorder even with no flags at all. Its per-thread ring is as large
+    // as the largest view the flags ask for.
+    let journal = Arc::new(if out("--audit-out").is_some() || audit_summary {
+        chc_obs::Journal::with_events(chc_obs::journal::AUDIT_CAPACITY)
+    } else if out("--trace-out").is_some() || flame_out.is_some() {
+        chc_obs::Journal::new(chc_obs::journal::TRACE_CAPACITY)
+    } else {
+        chc_obs::Journal::new(chc_obs::journal::CRASH_TAIL)
+    });
     let stats_rec = (trace || stats || out("--stats-out").is_some())
         .then(|| Arc::new(chc_obs::StatsRecorder::new()));
-    let trace_rec = (out("--trace-out").is_some() || (out("--flame-out").is_some() && !is_profile))
-        .then(|| Arc::new(chc_obs::TraceRecorder::new()));
-    let audit_rec = (out("--audit-out").is_some() || audit_summary)
-        .then(|| Arc::new(chc_obs::AuditRecorder::new()));
     let profile_rec = (out("--profile-out").is_some() || is_profile).then(|| {
         let cap = profile_args
             .as_ref()
@@ -285,25 +298,12 @@ fn main() -> ExitCode {
     });
     let sampler = profile_args
         .as_ref()
-        .map(|pa| Arc::new(chc_obs::SpanSampler::start(pa.interval)));
-    // The black box is always on — the point of a flight recorder is
-    // that it was running *before* anything went wrong — so every chc
-    // run installs a recorder even with no flags at all.
-    let flight = Arc::new(chc_obs::FlightRecorder::new());
-    let mut sinks: Vec<Arc<dyn chc_obs::Recorder>> = vec![flight.clone()];
+        .map(|pa| chc_obs::SpanSampler::start(journal.clone(), pa.interval));
+    let mut sinks: Vec<Arc<dyn chc_obs::Recorder>> = vec![journal.clone()];
     if let Some(r) = &stats_rec {
         sinks.push(r.clone());
     }
-    if let Some(r) = &trace_rec {
-        sinks.push(r.clone());
-    }
-    if let Some(r) = &audit_rec {
-        sinks.push(r.clone());
-    }
     if let Some(r) = &profile_rec {
-        sinks.push(r.clone());
-    }
-    if let Some(r) = &sampler {
         sinks.push(r.clone());
     }
     let recorder: Arc<dyn chc_obs::Recorder> = if sinks.len() == 1 {
@@ -314,13 +314,12 @@ fn main() -> ExitCode {
     chc_obs::set_global(recorder);
 
     let sinks = Arc::new(Sinks {
+        journal: journal.clone(),
         stats: stats_rec.clone(),
-        trace: trace_rec.clone(),
-        audit: audit_rec.clone(),
         profile: profile_rec.clone(),
         stats_out: out("--stats-out"),
         trace_out: out("--trace-out"),
-        flame_out: out("--flame-out"),
+        flame_out,
         audit_out: out("--audit-out"),
         profile_out: out("--profile-out"),
         is_profile,
@@ -339,7 +338,7 @@ fn main() -> ExitCode {
                 std::path::Path::new(&d).join(format!("chc-crash-{}.json", std::process::id()))
             })
     });
-    let crash_writer = Arc::new(chc_obs::CrashWriter::new(flight.clone(), crash_path));
+    let crash_writer = Arc::new(chc_obs::CrashWriter::new(journal.clone(), crash_path));
     {
         let hook_sinks = sinks.clone();
         let hook_crash = crash_writer.clone();
@@ -375,7 +374,7 @@ fn main() -> ExitCode {
             pa,
             &args,
             profile_rec.as_ref().expect("profile recorder installed"),
-            sampler.as_ref().expect("sampler installed"),
+            sampler.as_ref().expect("sampler started"),
         ),
         None => run(&args),
     };
@@ -395,10 +394,8 @@ fn main() -> ExitCode {
             eprint!("{}", r.render_counters());
         }
     }
-    if let Some(r) = &audit_rec {
-        if audit_summary {
-            print!("{}", render_audit_summary(r));
-        }
+    if audit_summary {
+        print!("{}", render_audit_summary(&journal));
     }
     let flush_err = sinks.flush_files(false).into_iter().next();
     let code = match outcome {
@@ -512,14 +509,15 @@ fn open_store(schema: &Schema, path: &str) -> Result<(Virtualized, LoadedData), 
 /// Renders the `--audit-summary` table from the ledger: §6 asks for
 /// "statistics about exceptional cases", so admissions are grouped by
 /// the excuse that admitted them.
-fn render_audit_summary(rec: &chc_obs::AuditRecorder) -> String {
+fn render_audit_summary(journal: &chc_obs::Journal) -> String {
     use std::collections::BTreeMap;
     use std::fmt::Write as _;
     let mut checks = 0u64;
     let mut passed = 0u64;
     let mut violations = 0u64;
     let mut admitted: BTreeMap<(String, String, String, String), u64> = BTreeMap::new();
-    for ev in rec.events() {
+    let (events, dropped) = journal.audit_events();
+    for (_, ev) in &events {
         if ev.name != chc_obs::names::EVENT_VALIDATE_CHECK {
             continue;
         }
@@ -556,11 +554,10 @@ fn render_audit_summary(rec: &chc_obs::AuditRecorder) -> String {
             "  `{excuser}.{excuse_attr}` excusing `{class}.{attr}`: {n}"
         );
     }
-    if rec.dropped() > 0 {
+    if dropped > 0 {
         let _ = writeln!(
             out,
-            "  (ring full: {} older record(s) evicted; totals reflect retained events only)",
-            rec.dropped()
+            "  (ring full: {dropped} older record(s) evicted; totals reflect retained events only)"
         );
     }
     out

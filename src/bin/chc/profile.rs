@@ -103,7 +103,7 @@ pub fn run(
     pa: &ProfileArgs,
     a: &Args,
     profile: &Arc<chc_obs::ProfileRecorder>,
-    sampler: &Arc<chc_obs::SpanSampler>,
+    sampler: &chc_obs::SpanSampler,
 ) -> Result<ExitCode, String> {
     use std::fmt::Write as _;
 

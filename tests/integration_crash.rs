@@ -264,3 +264,44 @@ fn profile_mem_columns_reconcile() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(stdout.lines().count(), 1, "stdout stays one line: {stdout}");
 }
+
+/// The crash tail holds span and event transitions only: counter bumps
+/// are summed in `counters`, not pushed into the tail, so a long `load`
+/// still shows what ran rather than thousands of counter deltas.
+#[test]
+fn crash_tail_shows_transitions_not_counter_noise() {
+    let crash = tmp("crash-tail.json");
+    let out = chc(
+        &[
+            "load",
+            "--hier",
+            "classes=60,seed=7",
+            "--ops",
+            "20000",
+            "--threads",
+            "2",
+            "--crash-out",
+            crash.to_str().unwrap(),
+        ],
+        &[("CHC_CRASH_INJECT", "15000")],
+    );
+    assert!(!out.status.success(), "an injected panic must not exit 0");
+    let doc = chc_obs::json::parse(&std::fs::read_to_string(&crash).expect("crash report written"))
+        .expect("crash report is valid JSON");
+    let flight = doc.get("flight").and_then(JsonValue::as_array).unwrap();
+    assert!(!flight.is_empty(), "flight tail is non-empty");
+    for e in flight {
+        let kind = e.get("kind").and_then(JsonValue::as_str);
+        assert!(
+            matches!(kind, Some("enter" | "exit" | "event")),
+            "tail entry is a transition: {e:?}"
+        );
+    }
+    let counters = doc
+        .get("counters")
+        .expect("crash report has counter totals");
+    assert!(
+        num(counters, "validate.checks") > 0.0,
+        "counter totals still carry validate.checks"
+    );
+}
