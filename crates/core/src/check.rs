@@ -12,6 +12,8 @@
 //! distinguish erroneous definitions from intentional ones — the property
 //! default inheritance destroys (§4.2.4).
 
+use std::collections::HashSet;
+
 use chc_model::{ClassId, Range, Schema, Sym};
 
 use crate::diagnostics::{CheckReport, DiagKind, Diagnostic, Severity};
@@ -46,17 +48,19 @@ pub fn check(schema: &Schema) -> CheckReport {
         chc_obs::names::MEM_CHECK_SCHEMA_BYTES,
         chc_obs::names::MEM_CHECK_SCHEMA_PEAK,
     );
-    let mut report = CheckReport::default();
-    for class in schema.class_ids() {
-        check_class(schema, class, &mut report);
-    }
-    report
+    let mut diagnostics: Vec<Diagnostic> = schema
+        .class_ids()
+        .flat_map(|class| check_class(schema, class))
+        .collect();
+    suppress_restated(schema, &mut diagnostics);
+    CheckReport { diagnostics }
 }
 
-/// Checks a single class (used incrementally by schema evolution: after a
-/// local edit only the touched class and its descendants need rechecking —
-/// the *locality* desideratum of §5).
-pub fn check_class(schema: &Schema, class: ClassId, report: &mut CheckReport) {
+/// The raw findings at one class's sites. They depend on the schema and
+/// the class alone, never on other classes' findings, so classes can be
+/// checked in any order (the *locality* desideratum of §5). [`check`]
+/// then drops the raw findings that restate an error at another class.
+pub fn check_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
     chc_obs::counter(chc_obs::names::CHECK_CLASSES, 1);
     // Attribution: while an installed recorder consumes it, everything
     // this class's check does downstream (subtype queries, sat calls,
@@ -70,7 +74,7 @@ pub fn check_class(schema: &Schema, class: ClassId, report: &mut CheckReport) {
         // while checking this class, keyed by the class id.
         let mem = chc_obs::memalloc::installed().then(chc_obs::memalloc::probe);
         let start = std::time::Instant::now();
-        check_class_inner(schema, class, report);
+        let found = check_class_inner(schema, class);
         let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         chc_obs::labeled_histogram(
             chc_obs::names::CHECK_CLASS_NANOS,
@@ -91,15 +95,16 @@ pub fn check_class(schema: &Schema, class: ClassId, report: &mut CheckReport) {
                 stats.peak_live,
             );
         }
-        return;
+        return found;
     }
-    check_class_inner(schema, class, report);
+    check_class_inner(schema, class)
 }
 
-fn check_class_inner(schema: &Schema, class: ClassId, report: &mut CheckReport) {
+fn check_class_inner(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
+    let mut found = Vec::new();
     // Part 1: each locally declared attribute vs. each inherited constraint.
     for decl in &schema.class(class).attrs {
-        check_declaration(schema, class, decl.name, report);
+        check_declaration(schema, class, decl.name, &mut found);
     }
     // Part 2: joint satisfiability of inherited constraints (multiple
     // inheritance / diamond memberships). Single-parent classes inherit
@@ -108,16 +113,17 @@ fn check_class_inner(schema: &Schema, class: ClassId, report: &mut CheckReport) 
     // join points must consider every applicable attribute.
     if schema.supers(class).len() < 2 {
         for decl in &schema.class(class).attrs {
-            check_joint_satisfiability(schema, class, decl.name, report);
+            check_joint_satisfiability(schema, class, decl.name, &mut found);
         }
     } else {
         for attr in schema.applicable_attrs(class) {
-            check_joint_satisfiability(schema, class, attr, report);
+            check_joint_satisfiability(schema, class, attr, &mut found);
         }
     }
+    found
 }
 
-fn check_declaration(schema: &Schema, class: ClassId, attr: Sym, report: &mut CheckReport) {
+fn check_declaration(schema: &Schema, class: ClassId, attr: Sym, found: &mut Vec<Diagnostic>) {
     let spec = &schema.declared_attr(class, attr).expect("declared").spec;
     let s_range = &spec.range;
 
@@ -128,7 +134,10 @@ fn check_declaration(schema: &Schema, class: ClassId, attr: Sym, report: &mut Ch
         let decl_b = schema.declared_attr(ancestor, attr).expect("declarer");
         let r_range = &decl_b.spec.range;
         let contradiction = !r_range.subsumes(schema, s_range);
-        let has_local_excuse = spec.excuses.iter().any(|e| e.on == ancestor && e.attr == attr);
+        let has_local_excuse = spec
+            .excuses
+            .iter()
+            .any(|e| e.on == ancestor && e.attr == attr);
 
         if contradiction {
             chc_obs::counter(chc_obs::names::CHECK_CONTRADICTIONS, 1);
@@ -137,7 +146,7 @@ fn check_declaration(schema: &Schema, class: ClassId, attr: Sym, report: &mut Ch
         if !contradiction {
             // Proper specialization; a local excuse for it is redundant.
             if has_local_excuse {
-                report.diagnostics.push(Diagnostic {
+                found.push(Diagnostic {
                     severity: Severity::Warning,
                     kind: DiagKind::RedundantExcuse { on: ancestor },
                     class,
@@ -165,9 +174,11 @@ fn check_declaration(schema: &Schema, class: ClassId, attr: Sym, report: &mut Ch
         }
 
         let Some(first_applicable) = first_applicable else {
-            report.diagnostics.push(Diagnostic {
+            found.push(Diagnostic {
                 severity: Severity::Error,
-                kind: DiagKind::UnexcusedContradiction { contradicted: ancestor },
+                kind: DiagKind::UnexcusedContradiction {
+                    contradicted: ancestor,
+                },
                 class,
                 attr,
             });
@@ -178,7 +189,7 @@ fn check_declaration(schema: &Schema, class: ClassId, attr: Sym, report: &mut Ch
             chc_obs::counter(chc_obs::names::CHECK_EXCUSES_RESOLVED, 1);
         }
         if !covered {
-            report.diagnostics.push(Diagnostic {
+            found.push(Diagnostic {
                 severity: Severity::Error,
                 kind: DiagKind::ExcuseRangeEscape {
                     contradicted: ancestor,
@@ -191,7 +202,7 @@ fn check_declaration(schema: &Schema, class: ClassId, attr: Sym, report: &mut Ch
             // Already excused by an ancestor (the SpecialAlc case, §5.3):
             // "nothing wrong will happen if an excuse is added — it will
             // simply be redundant."
-            report.diagnostics.push(Diagnostic {
+            found.push(Diagnostic {
                 severity: Severity::Warning,
                 kind: DiagKind::RedundantExcuse { on: ancestor },
                 class,
@@ -211,7 +222,7 @@ fn check_joint_satisfiability(
     schema: &Schema,
     class: ClassId,
     attr: Sym,
-    report: &mut CheckReport,
+    found: &mut Vec<Diagnostic>,
 ) {
     // A class with a single parent and no local declaration inherits
     // exactly its parent's constraint set, whose joint satisfiability is
@@ -260,27 +271,12 @@ fn check_joint_satisfiability(
                 .iter()
                 .any(|r1| rs2.iter().any(|r2| r1.overlaps(schema, r2)));
             if !overlap {
-                // Avoid duplicating a contradiction already reported by the
-                // declaration check (sub contradicts super directly).
-                let related = schema.is_subclass(b1, b2) || schema.is_subclass(b2, b1);
-                let already_reported = related
-                    && report.diagnostics.iter().any(|d| {
-                        d.attr == attr
-                            && matches!(
-                                d.kind,
-                                DiagKind::UnexcusedContradiction { .. }
-                                    | DiagKind::ExcuseRangeEscape { .. }
-                            )
-                            && (d.class == b1 || d.class == b2 || d.class == class)
-                    });
-                if !already_reported {
-                    report.diagnostics.push(Diagnostic {
-                        severity: Severity::Error,
-                        kind: DiagKind::IncompatibleParents { a: b1, b: b2 },
-                        class,
-                        attr,
-                    });
-                }
+                found.push(Diagnostic {
+                    severity: Severity::Error,
+                    kind: DiagKind::IncompatibleParents { a: b1, b: b2 },
+                    class,
+                    attr,
+                });
             }
         }
     }
@@ -292,22 +288,15 @@ fn check_joint_satisfiability(
     // (the schema is known broken here; a second report is noise) or when
     // the whole constraint set is co-inherited through one parent and
     // nothing is declared locally (checked there).
-    let already_errored = report.diagnostics.iter().any(|d| {
-        d.class == class && d.attr == attr && d.severity == Severity::Error
-    });
+    let already_errored = found
+        .iter()
+        .any(|d| d.attr == attr && d.severity == Severity::Error);
     let all_covered = schema.declared_attr(class, attr).is_none()
-        && schema.supers(class).iter().any(|&p| {
-            constraints.iter().all(|(b, _)| schema.is_subclass(p, *b))
-        });
+        && schema
+            .supers(class)
+            .iter()
+            .any(|&p| constraints.iter().all(|(b, _)| schema.is_subclass(p, *b)));
     if already_errored || all_covered {
-        return;
-    }
-    let declaration_errored = report.diagnostics.iter().any(|d| {
-        d.attr == attr
-            && d.severity == Severity::Error
-            && constraints.iter().any(|(b, _)| d.class == *b)
-    });
-    if declaration_errored {
         return;
     }
     // Fast path: if the constraint set has a *unique minimal* declarer M
@@ -333,13 +322,48 @@ fn check_joint_satisfiability(
         return;
     }
 
-    report.diagnostics.push(Diagnostic {
+    found.push(Diagnostic {
         severity: Severity::Error,
         kind: DiagKind::JointlyUnsatisfiable {
             declarers: constraints.iter().map(|(b, _)| *b).collect(),
         },
         class,
         attr,
+    });
+}
+
+/// Drops the joint-satisfiability findings that restate an error at
+/// another site (docs/SEMANTICS.md §3): an `IncompatibleParents` pair of
+/// related declarers when a declaration error on the attribute sits at
+/// either declarer or the class, and a `JointlyUnsatisfiable` site when
+/// another of its declarers has any error on the attribute. It reads the
+/// whole set at once, so the verdict does not depend on check order, and
+/// running it twice changes nothing, so `check_incremental` may feed it
+/// findings carried over from an earlier report.
+pub(crate) fn suppress_restated(schema: &Schema, diagnostics: &mut Vec<Diagnostic>) {
+    let mut errored = HashSet::new();
+    let mut declaration_errored = HashSet::new();
+    for d in diagnostics.iter().filter(|d| d.severity == Severity::Error) {
+        errored.insert((d.class, d.attr));
+        if matches!(
+            d.kind,
+            DiagKind::UnexcusedContradiction { .. } | DiagKind::ExcuseRangeEscape { .. }
+        ) {
+            declaration_errored.insert((d.class, d.attr));
+        }
+    }
+    diagnostics.retain(|d| match &d.kind {
+        DiagKind::IncompatibleParents { a, b } => {
+            let related = schema.is_subclass(*a, *b) || schema.is_subclass(*b, *a);
+            !(related
+                && [*a, *b, d.class]
+                    .iter()
+                    .any(|&c| declaration_errored.contains(&(c, d.attr))))
+        }
+        DiagKind::JointlyUnsatisfiable { declarers } => !declarers
+            .iter()
+            .any(|&b| b != d.class && errored.contains(&(b, d.attr))),
+        _ => true,
     });
 }
 
@@ -380,7 +404,10 @@ mod tests {
         let errs: Vec<_> = report.errors().collect();
         assert_eq!(errs.len(), 1);
         assert_eq!(errs[0].class, schema.class_by_name("Alcoholic").unwrap());
-        assert!(matches!(errs[0].kind, DiagKind::UnexcusedContradiction { .. }));
+        assert!(matches!(
+            errs[0].kind,
+            DiagKind::UnexcusedContradiction { .. }
+        ));
     }
 
     #[test]
@@ -602,7 +629,10 @@ mod tests {
         let errs: Vec<_> = report.errors().collect();
         assert_eq!(errs.len(), 1, "{}", report.render(&schema));
         assert_eq!(errs[0].class, schema.class_by_name("Join").unwrap());
-        assert!(matches!(errs[0].kind, DiagKind::JointlyUnsatisfiable { .. }));
+        assert!(matches!(
+            errs[0].kind,
+            DiagKind::JointlyUnsatisfiable { .. }
+        ));
         // One excuse (usable by Join) restores satisfiability.
         let (schema2, report2) = check_src(
             "
@@ -637,6 +667,80 @@ mod tests {
             ",
         );
         assert!(ok.is_ok());
+    }
+
+    /// `src` with its class statements in reverse order.
+    fn reversed(src: &str) -> String {
+        let statements: Vec<&str> = src
+            .split(';')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .collect();
+        statements.iter().rev().map(|s| format!("{s};\n")).collect()
+    }
+
+    /// The errors of `src` by name, sorted, so two numberings of one
+    /// schema compare equal.
+    fn named_errors(src: &str) -> Vec<String> {
+        let (schema, report) = check_src(src);
+        let name = |c: &ClassId| schema.class_name(*c).to_string();
+        let mut errors: Vec<String> = report
+            .errors()
+            .map(|d| {
+                let (kind, mut named): (_, Vec<String>) = match &d.kind {
+                    DiagKind::UnexcusedContradiction { contradicted } => {
+                        ("unexcused", vec![name(contradicted)])
+                    }
+                    DiagKind::ExcuseRangeEscape { contradicted, .. } => {
+                        ("escape", vec![name(contradicted)])
+                    }
+                    DiagKind::IncompatibleParents { a, b } => {
+                        ("incompatible", vec![name(a), name(b)])
+                    }
+                    DiagKind::JointlyUnsatisfiable { declarers } => {
+                        ("joint", declarers.iter().map(name).collect())
+                    }
+                    DiagKind::RedundantExcuse { on } => ("redundant", vec![name(on)]),
+                };
+                named.sort();
+                format!(
+                    "{}.{} {kind} {}",
+                    name(&d.class),
+                    schema.resolve(d.attr),
+                    named.join(",")
+                )
+            })
+            .collect();
+        errors.sort();
+        errors
+    }
+
+    #[test]
+    fn verdict_does_not_depend_on_declaration_order() {
+        // `J` forward-references its parents, so it precedes the broken
+        // declaration `P2.p` in class-id order. The k-way conflict at `J`
+        // restates `P2`'s error in either order.
+        let forward = "
+            class J is-a P2, P3;
+            class P1 with p: {'a, 'b};
+            class P2 is-a P1 with p: {'c};
+            class P3 with p: {'a, 'c};
+        ";
+        for src in [forward.to_string(), reversed(forward)] {
+            assert_eq!(named_errors(&src), ["P2.p unexcused P1"], "{src}");
+        }
+        for src in [
+            "class P1 with p: {'a, 'b}; class P2 with p: {'b, 'c};
+             class P3 with p: {'a, 'c}; class Join is-a P1, P2, P3;",
+            "class P1 with p: {'a, 'b}; class P2 with p: {'b, 'c};
+             class P3 with p: {'a, 'c} excuses p on P2; class Join is-a P1, P2, P3;",
+            "class P1 with p: 1..10; class P2 with p: 8..20;
+             class P3 with p: 12..30; class Join is-a P1, P2, P3;",
+            "class P1 with p: 1..10; class P2 with p: 8..20;
+             class P3 with p: 9..30; class Join is-a P1, P2, P3;",
+        ] {
+            assert_eq!(named_errors(src), named_errors(&reversed(src)), "{src}");
+        }
     }
 
     #[test]

@@ -90,7 +90,11 @@ impl Diagnostic {
     pub fn render(&self, schema: &Schema) -> String {
         match self.span(schema) {
             Some(span) => {
-                format!("{}: {}", schema.source_map().locate(span), self.message(schema))
+                format!(
+                    "{}: {}",
+                    schema.source_map().locate(span),
+                    self.message(schema)
+                )
             }
             None => self.message(schema),
         }
@@ -111,7 +115,10 @@ impl Diagnostic {
                 schema.class_name(*contradicted),
                 schema.class_name(*contradicted),
             ),
-            DiagKind::ExcuseRangeEscape { contradicted, excuser } => format!(
+            DiagKind::ExcuseRangeEscape {
+                contradicted,
+                excuser,
+            } => format!(
                 "{sev}: `{class}.{attr}` is excused on `{}` via `{}`, but its range is not \
                  contained in the excusing range",
                 schema.class_name(*contradicted),
@@ -160,17 +167,23 @@ pub struct CheckReport {
 impl CheckReport {
     /// Whether the schema is accepted (no errors; warnings allowed).
     pub fn is_ok(&self) -> bool {
-        self.diagnostics.iter().all(|d| d.severity != Severity::Error)
+        self.diagnostics
+            .iter()
+            .all(|d| d.severity != Severity::Error)
     }
 
     /// The error-severity findings.
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.severity == Severity::Error)
+        self.diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
     }
 
     /// The warning-severity findings.
     pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.severity == Severity::Warning)
+        self.diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Warning)
     }
 
     /// Renders every finding against `schema`, one per line.

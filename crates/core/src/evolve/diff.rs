@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use chc_model::{ClassId, Range, Schema, Span, Sym};
 
-use crate::check::check_class;
+use crate::check::{check_class, suppress_restated};
 use crate::diagnostics::{CheckReport, DiagKind, Diagnostic};
 
 /// How an edit relates old readers and writers to the new schema.
@@ -267,7 +267,12 @@ fn translate_range(old: &Schema, range: &Range, new: &Schema) -> Option<Range> {
 /// schema never interns is still a plain narrowing, not a [`Changed`]);
 /// everything else is translated into the new schema and compared with
 /// [`Range::subsumes`] both ways.
-pub fn compare_ranges(old: &Schema, old_range: &Range, new: &Schema, new_range: &Range) -> RangeRel {
+pub fn compare_ranges(
+    old: &Schema,
+    old_range: &Range,
+    new: &Schema,
+    new_range: &Range,
+) -> RangeRel {
     if let (Range::Enum(os), Range::Enum(ns)) = (old_range, new_range) {
         let on: BTreeSet<&str> = os.iter().map(|t| old.resolve(*t)).collect();
         let nn: BTreeSet<&str> = ns.iter().map(|t| new.resolve(*t)).collect();
@@ -365,7 +370,9 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
         let sup_id = new.class_by_name(sup).expect("direct super resolves");
         edits.push(SchemaEdit {
             kind: EditKind::Breaking,
-            detail: EditDetail::EdgeAdded { sup: sup.to_string() },
+            detail: EditDetail::EdgeAdded {
+                sup: sup.to_string(),
+            },
             class: name.clone(),
             attr: None,
             old_class: Some(oc),
@@ -378,7 +385,9 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
         let sup_id = old.class_by_name(sup).expect("direct super resolves");
         edits.push(SchemaEdit {
             kind: EditKind::Breaking,
-            detail: EditDetail::EdgeRemoved { sup: sup.to_string() },
+            detail: EditDetail::EdgeRemoved {
+                sup: sup.to_string(),
+            },
             class: name.clone(),
             attr: None,
             old_class: Some(oc),
@@ -388,17 +397,27 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
         });
     }
 
-    let old_attrs: BTreeMap<&str, Sym> =
-        old.class(oc).attrs.iter().map(|d| (old.resolve(d.name), d.name)).collect();
-    let new_attrs: BTreeMap<&str, Sym> =
-        new.class(nc).attrs.iter().map(|d| (new.resolve(d.name), d.name)).collect();
+    let old_attrs: BTreeMap<&str, Sym> = old
+        .class(oc)
+        .attrs
+        .iter()
+        .map(|d| (old.resolve(d.name), d.name))
+        .collect();
+    let new_attrs: BTreeMap<&str, Sym> = new
+        .class(nc)
+        .attrs
+        .iter()
+        .map(|d| (new.resolve(d.name), d.name))
+        .collect();
 
     for (&attr_name, &na) in &new_attrs {
         let n_spec = &new.declared_attr(nc, na).expect("declared").spec;
         let Some(&oa) = old_attrs.get(attr_name) else {
             edits.push(SchemaEdit {
                 kind: EditKind::Additive,
-                detail: EditDetail::AttrAdded { range: n_spec.range.render(new) },
+                detail: EditDetail::AttrAdded {
+                    range: n_spec.range.render(new),
+                },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
                 old_class: Some(oc),
@@ -456,7 +475,10 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
                 .and_then(|(e, on_id)| new.source_map().excuse_span(nc, e, on_id));
             edits.push(SchemaEdit {
                 kind: EditKind::Refining,
-                detail: EditDetail::ExcuseAdded { excused: excused.clone(), on: on.clone() },
+                detail: EditDetail::ExcuseAdded {
+                    excused: excused.clone(),
+                    on: on.clone(),
+                },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
                 old_class: Some(oc),
@@ -472,7 +494,10 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
                 .and_then(|(e, on_id)| old.source_map().excuse_span(oc, e, on_id));
             edits.push(SchemaEdit {
                 kind: EditKind::Breaking,
-                detail: EditDetail::ExcuseRetired { excused: excused.clone(), on: on.clone() },
+                detail: EditDetail::ExcuseRetired {
+                    excused: excused.clone(),
+                    on: on.clone(),
+                },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
                 old_class: Some(oc),
@@ -488,7 +513,9 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
             let o_spec = &old.declared_attr(oc, oa).expect("declared").spec;
             edits.push(SchemaEdit {
                 kind: EditKind::Breaking,
-                detail: EditDetail::AttrRemoved { range: o_spec.range.render(old) },
+                detail: EditDetail::AttrRemoved {
+                    range: o_spec.range.render(old),
+                },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
                 old_class: Some(oc),
@@ -597,18 +624,25 @@ pub struct IncrementalCheck {
 fn translate_diag(old: &Schema, new: &Schema, d: &Diagnostic) -> Option<Diagnostic> {
     let class_of = |c: ClassId| new.class_by_name(old.class_name(c));
     let kind = match &d.kind {
-        DiagKind::UnexcusedContradiction { contradicted } => {
-            DiagKind::UnexcusedContradiction { contradicted: class_of(*contradicted)? }
-        }
-        DiagKind::ExcuseRangeEscape { contradicted, excuser } => DiagKind::ExcuseRangeEscape {
+        DiagKind::UnexcusedContradiction { contradicted } => DiagKind::UnexcusedContradiction {
+            contradicted: class_of(*contradicted)?,
+        },
+        DiagKind::ExcuseRangeEscape {
+            contradicted,
+            excuser,
+        } => DiagKind::ExcuseRangeEscape {
             contradicted: class_of(*contradicted)?,
             excuser: class_of(*excuser)?,
         },
-        DiagKind::IncompatibleParents { a, b } => {
-            DiagKind::IncompatibleParents { a: class_of(*a)?, b: class_of(*b)? }
-        }
+        DiagKind::IncompatibleParents { a, b } => DiagKind::IncompatibleParents {
+            a: class_of(*a)?,
+            b: class_of(*b)?,
+        },
         DiagKind::JointlyUnsatisfiable { declarers } => DiagKind::JointlyUnsatisfiable {
-            declarers: declarers.iter().map(|&c| class_of(c)).collect::<Option<Vec<_>>>()?,
+            declarers: declarers
+                .iter()
+                .map(|&c| class_of(c))
+                .collect::<Option<Vec<_>>>()?,
         },
         DiagKind::RedundantExcuse { on } => DiagKind::RedundantExcuse { on: class_of(*on)? },
     };
@@ -622,14 +656,14 @@ fn translate_diag(old: &Schema, new: &Schema, d: &Diagnostic) -> Option<Diagnost
 
 /// Re-checks `new` in O(cone): classes outside the dirty set carry their
 /// diagnostics over from `old_report` (translated to new ids), classes
-/// inside it are re-checked with [`check_class`]. Classes are processed in
-/// new-schema id order — ancestors first — so the cross-class
-/// deduplication inside the joint-satisfiability check sees exactly the
-/// report prefix a full check would have built.
+/// inside it are re-checked with [`check_class`], and the merged set ends
+/// in the same suppression pass as a full check.
 ///
-/// The resulting report is identical to `check(new)`; the caller supplies
-/// `old_report` (typically remembered from the last full check) so the
-/// hot path never touches the clean region of the schema.
+/// A class's findings depend only on its ancestors-with-self, which an
+/// edit outside the cone leaves alone, so the resulting report is
+/// identical to `check(new)`; the caller supplies `old_report` (typically
+/// remembered from the last full check) so the hot path never touches
+/// the clean region of the schema.
 pub fn check_incremental(old: &Schema, old_report: &CheckReport, new: &Schema) -> IncrementalCheck {
     let diff = diff_schemas(old, new);
     let dirty = impact_cone(old, new, &diff);
@@ -642,12 +676,14 @@ pub fn check_incremental(old: &Schema, old_report: &CheckReport, new: &Schema) -
     let mut report = CheckReport::default();
     for nc in new.class_ids() {
         if dirty.classes.contains(&nc) {
-            check_class(new, nc, &mut report);
+            report.diagnostics.extend(check_class(new, nc));
             continue;
         }
         // A clean class always has an old counterpart: unmatched new
         // classes are ClassAdded edits and land in their own cone.
-        let oc = old.class_by_name(new.class_name(nc)).expect("clean class existed before");
+        let oc = old
+            .class_by_name(new.class_name(nc))
+            .expect("clean class existed before");
         let carried = by_old_class.get(&oc).map(Vec::as_slice).unwrap_or(&[]);
         let mut translated = Vec::with_capacity(carried.len());
         let mut ok = true;
@@ -663,11 +699,16 @@ pub fn check_incremental(old: &Schema, old_report: &CheckReport, new: &Schema) -
         if ok {
             report.diagnostics.extend(translated);
         } else {
-            check_class(new, nc, &mut report);
+            report.diagnostics.extend(check_class(new, nc));
         }
     }
+    suppress_restated(new, &mut report.diagnostics);
 
-    IncrementalCheck { diff, dirty, report }
+    IncrementalCheck {
+        diff,
+        dirty,
+        report,
+    }
 }
 
 #[cfg(test)]
@@ -716,7 +757,10 @@ mod tests {
         let person = new.class_by_name("Person").unwrap();
         let expected: BTreeSet<ClassId> = new.descendants_with_self(person).collect();
         assert_eq!(dirty.classes, expected);
-        assert_eq!(dirty.extents, expected, "narrowing endangers stored objects below");
+        assert_eq!(
+            dirty.extents, expected,
+            "narrowing endangers stored objects below"
+        );
         // Unrelated roots stay clean.
         let physician = new.class_by_name("Physician").unwrap();
         assert!(!dirty.classes.contains(&physician));
@@ -729,7 +773,10 @@ mod tests {
         let diff = diff_schemas(&old, &new);
         assert_eq!(diff.edits.len(), 1);
         assert_eq!(diff.edits[0].kind, EditKind::Breaking);
-        assert!(matches!(diff.edits[0].detail, EditDetail::RangeWidened { .. }));
+        assert!(matches!(
+            diff.edits[0].detail,
+            EditDetail::RangeWidened { .. }
+        ));
         let dirty = impact_cone(&old, &new, &diff);
         assert!(dirty.extents.is_empty(), "widening admits strictly more");
         assert!(!dirty.classes.is_empty());
@@ -744,7 +791,10 @@ mod tests {
         let new = s("class Address with state: {'AL, 'NJ};");
         let diff = diff_schemas(&old, &new);
         assert_eq!(diff.edits.len(), 1);
-        assert!(matches!(diff.edits[0].detail, EditDetail::RangeNarrowed { .. }));
+        assert!(matches!(
+            diff.edits[0].detail,
+            EditDetail::RangeNarrowed { .. }
+        ));
     }
 
     #[test]
@@ -757,7 +807,10 @@ mod tests {
         assert_eq!(edits[0].kind, EditKind::Breaking);
         assert!(matches!(&edits[0].detail,
             EditDetail::ExcuseRetired { excused, on } if excused == "treatedBy" && on == "Patient"));
-        assert!(edits[0].old_span.is_some(), "anchored at the old excuse clause");
+        assert!(
+            edits[0].old_span.is_some(),
+            "anchored at the old excuse clause"
+        );
         let dirty = impact_cone(&old, &new, &diff);
         let alcoholic = new.class_by_name("Alcoholic").unwrap();
         assert!(dirty.classes.contains(&alcoholic));
@@ -780,7 +833,10 @@ mod tests {
         let person = new.class_by_name("Person").unwrap();
         let alcoholic = new.class_by_name("Alcoholic").unwrap();
         assert!(dirty.classes.contains(&person), "ancestor side of the cone");
-        assert!(dirty.classes.contains(&alcoholic), "descendant side of the cone");
+        assert!(
+            dirty.classes.contains(&alcoholic),
+            "descendant side of the cone"
+        );
     }
 
     #[test]
@@ -788,9 +844,15 @@ mod tests {
         let old = s(HOSPITAL_OLD);
         let new = s(&HOSPITAL_OLD.replace("Psychologist", "Therapist"));
         let diff = diff_schemas(&old, &new);
-        let kinds: Vec<_> = diff.edits.iter().map(|e| (&e.detail, e.class.as_str())).collect();
+        let kinds: Vec<_> = diff
+            .edits
+            .iter()
+            .map(|e| (&e.detail, e.class.as_str()))
+            .collect();
         assert!(
-            kinds.iter().any(|(d, c)| matches!(d, EditDetail::ClassAdded) && *c == "Therapist"),
+            kinds
+                .iter()
+                .any(|(d, c)| matches!(d, EditDetail::ClassAdded) && *c == "Therapist"),
             "{kinds:?}"
         );
         assert!(kinds
@@ -798,14 +860,14 @@ mod tests {
             .any(|(d, c)| matches!(d, EditDetail::ClassRetired) && *c == "Psychologist"));
         // Alcoholic's range referred to the renamed class: that is a real
         // range change, but no spurious edge or excuse edits appear.
-        assert!(!diff
-            .edits
-            .iter()
-            .any(|e| matches!(e.detail, EditDetail::EdgeAdded { .. } | EditDetail::EdgeRemoved { .. })));
-        assert!(!diff
-            .edits
-            .iter()
-            .any(|e| matches!(e.detail, EditDetail::ExcuseAdded { .. } | EditDetail::ExcuseRetired { .. })));
+        assert!(!diff.edits.iter().any(|e| matches!(
+            e.detail,
+            EditDetail::EdgeAdded { .. } | EditDetail::EdgeRemoved { .. }
+        )));
+        assert!(!diff.edits.iter().any(|e| matches!(
+            e.detail,
+            EditDetail::ExcuseAdded { .. } | EditDetail::ExcuseRetired { .. }
+        )));
     }
 
     #[test]
@@ -819,7 +881,11 @@ mod tests {
         assert_eq!(diff.edits[0].kind, EditKind::Additive);
         let dirty = impact_cone(&old, &new, &diff);
         let surgeon = new.class_by_name("Surgeon").unwrap();
-        assert_eq!(dirty.classes, BTreeSet::from([surgeon]), "locality: only the new leaf");
+        assert_eq!(
+            dirty.classes,
+            BTreeSet::from([surgeon]),
+            "locality: only the new leaf"
+        );
         assert!(dirty.extents.is_empty());
     }
 
@@ -847,9 +913,7 @@ mod tests {
             HOSPITAL_OLD.replace("Psychologist", "Therapist"),
             HOSPITAL_OLD.replace("treatedBy: Physician", "treatedBy: Psychologist"),
             format!("{HOSPITAL_OLD}\nclass Neurotic is-a Patient with treatedBy: Psychologist;"),
-            format!(
-                "{HOSPITAL_OLD}\nclass Surgeon is-a Physician with specialty: {{'Cardiac}};"
-            ),
+            format!("{HOSPITAL_OLD}\nclass Surgeon is-a Physician with specialty: {{'Cardiac}};"),
         ];
         for new_src in &edits {
             assert_incremental_matches_full(HOSPITAL_OLD, new_src);

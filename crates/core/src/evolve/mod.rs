@@ -49,7 +49,14 @@ pub fn set_range(
             class: schema.class_name(class).to_string(),
             attr: schema.resolve(attr).to_string(),
         })?;
-    b.set_attr_spec(class, attr, AttrSpec { range, excuses: old.excuses })?;
+    b.set_attr_spec(
+        class,
+        attr,
+        AttrSpec {
+            range,
+            excuses: old.excuses,
+        },
+    )?;
     finish(b)
 }
 
@@ -181,8 +188,7 @@ mod tests {
         let person = schema.class_by_name("Person").unwrap();
         let employee = schema.class_by_name("Employee").unwrap();
         let age = schema.sym("age").unwrap();
-        let evolved =
-            set_range(&schema, person, age, Range::int(18, 40).unwrap()).unwrap();
+        let evolved = set_range(&schema, person, age, Range::int(18, 40).unwrap()).unwrap();
         assert!(!evolved.report.is_ok());
         let errs: Vec<_> = evolved.report.errors().collect();
         assert_eq!(errs[0].class, employee);
@@ -206,7 +212,11 @@ mod tests {
             )],
         )
         .unwrap();
-        assert!(evolved.report.is_ok(), "{}", evolved.report.render(&evolved.schema));
+        assert!(
+            evolved.report.is_ok(),
+            "{}",
+            evolved.report.render(&evolved.schema)
+        );
         // The original classes are untouched (ids and declarations).
         let alc_old = schema.class_by_name("Alcoholic").unwrap();
         assert_eq!(evolved.schema.class_by_name("Alcoholic").unwrap(), alc_old);
@@ -242,8 +252,7 @@ mod tests {
         let alcoholic = schema.class_by_name("Alcoholic").unwrap();
         let patient = schema.class_by_name("Patient").unwrap();
         let treated_by = schema.sym("treatedBy").unwrap();
-        let evolved =
-            add_excuse(&schema, alcoholic, treated_by, treated_by, patient).unwrap();
+        let evolved = add_excuse(&schema, alcoholic, treated_by, treated_by, patient).unwrap();
         assert!(evolved.report.is_ok());
     }
 

@@ -23,9 +23,7 @@
 //! [`VirtualClassInfo`] records the root class and attribute path that
 //! define each virtual extent; `chc-extent` evaluates them.
 
-use chc_model::{
-    AttrSpec, ClassId, FieldSpec, ModelError, Range, Schema, SchemaBuilder, Sym,
-};
+use chc_model::{AttrSpec, ClassId, FieldSpec, ModelError, Range, Schema, SchemaBuilder, Sym};
 
 /// Where a virtual class came from and how to compute its extent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,11 +73,21 @@ pub fn virtualize(schema: &Schema) -> Result<Virtualized, ModelError> {
                 spec.range.clone(),
             )?;
             if new_range != spec.range {
-                b.set_attr_spec(class, attr, AttrSpec { range: new_range, excuses: spec.excuses })?;
+                b.set_attr_spec(
+                    class,
+                    attr,
+                    AttrSpec {
+                        range: new_range,
+                        excuses: spec.excuses,
+                    },
+                )?;
             }
         }
     }
-    Ok(Virtualized { schema: b.build()?, virtuals })
+    Ok(Virtualized {
+        schema: b.build()?,
+        virtuals,
+    })
 }
 
 fn lower_range(
@@ -91,20 +99,25 @@ fn lower_range(
     range: Range,
 ) -> Result<Range, ModelError> {
     match range {
-        Range::Record { base: Some(base), fields } => {
+        Range::Record {
+            base: Some(base),
+            fields,
+        } => {
             let name = virtual_name(schema, root, base, path);
             let vclass = b.declare_virtual(&name)?;
             b.add_super(vclass, base)?;
             for field in fields {
                 path.push(field.name);
-                let lowered =
-                    lower_range(schema, b, virtuals, root, path, field.spec.range)?;
+                let lowered = lower_range(schema, b, virtuals, root, path, field.spec.range)?;
                 path.pop();
                 let field_name = schema.resolve(field.name).to_string();
                 b.add_attr(
                     vclass,
                     &field_name,
-                    AttrSpec { range: lowered, excuses: field.spec.excuses },
+                    AttrSpec {
+                        range: lowered,
+                        excuses: field.spec.excuses,
+                    },
                 )?;
             }
             virtuals.push(VirtualClassInfo {
@@ -121,15 +134,20 @@ fn lower_range(
             let mut out = Vec::with_capacity(fields.len());
             for field in fields {
                 path.push(field.name);
-                let lowered =
-                    lower_range(schema, b, virtuals, root, path, field.spec.range)?;
+                let lowered = lower_range(schema, b, virtuals, root, path, field.spec.range)?;
                 path.pop();
                 out.push(FieldSpec {
                     name: field.name,
-                    spec: AttrSpec { range: lowered, excuses: field.spec.excuses },
+                    spec: AttrSpec {
+                        range: lowered,
+                        excuses: field.spec.excuses,
+                    },
                 });
             }
-            Ok(Range::Record { base: None, fields: out })
+            Ok(Range::Record {
+                base: None,
+                fields: out,
+            })
         }
         other => Ok(other),
     }
@@ -181,14 +199,14 @@ mod tests {
         let h1 = &v.virtuals[1];
         assert_eq!(h1.base, hospital);
         assert_eq!(h1.root, tb);
-        assert_eq!(
-            h1.path,
-            vec![v.schema.sym("treatedAt").unwrap()]
-        );
+        assert_eq!(h1.path, vec![v.schema.sym("treatedAt").unwrap()]);
         assert_eq!(a1.base, address);
         assert_eq!(
             a1.path,
-            vec![v.schema.sym("treatedAt").unwrap(), v.schema.sym("location").unwrap()]
+            vec![
+                v.schema.sym("treatedAt").unwrap(),
+                v.schema.sym("location").unwrap()
+            ]
         );
         assert!(v.schema.class(h1.class).is_virtual());
         assert!(v.schema.is_strict_subclass(h1.class, hospital));
@@ -222,10 +240,7 @@ mod tests {
         let patient_before = schema.class_by_name("Patient").unwrap();
         let v = virtualize(&schema).unwrap();
         assert_eq!(v.schema.class_by_name("Patient").unwrap(), patient_before);
-        assert_eq!(
-            v.schema.num_classes(),
-            schema.num_classes() + 2
-        );
+        assert_eq!(v.schema.num_classes(), schema.num_classes() + 2);
     }
 
     #[test]

@@ -43,7 +43,10 @@ fn sibling_excuses_do_not_apply() {
     );
     let errs: Vec<_> = report.errors().collect();
     assert_eq!(errs.len(), 1);
-    assert!(matches!(errs[0].kind, DiagKind::UnexcusedContradiction { .. }));
+    assert!(matches!(
+        errs[0].kind,
+        DiagKind::UnexcusedContradiction { .. }
+    ));
 }
 
 #[test]
@@ -75,7 +78,9 @@ fn excuse_must_cover_the_whole_new_range() {
     let errs: Vec<_> = report.errors().collect();
     // Leaf contradicts Mid (unexcused) and escapes the Root excuse.
     assert_eq!(errs.len(), 2, "{}", report.render(&schema));
-    assert!(errs.iter().any(|e| matches!(e.kind, DiagKind::ExcuseRangeEscape { .. })));
+    assert!(errs
+        .iter()
+        .any(|e| matches!(e.kind, DiagKind::ExcuseRangeEscape { .. })));
 }
 
 #[test]
@@ -126,14 +131,13 @@ fn evolution_then_virtualization_compose() {
     let address = v.schema.class_by_name("Address").unwrap();
     let state = v.schema.sym("state").unwrap();
     let nj = v.schema.sym("NJ").unwrap();
-    let evolved = evolve::set_range(
-        &v.schema,
-        address,
-        state,
-        Range::enumeration([nj]).unwrap(),
-    )
-    .unwrap();
-    assert!(evolved.report.is_ok(), "{}", evolved.report.render(&evolved.schema));
+    let evolved =
+        evolve::set_range(&v.schema, address, state, Range::enumeration([nj]).unwrap()).unwrap();
+    assert!(
+        evolved.report.is_ok(),
+        "{}",
+        evolved.report.render(&evolved.schema)
+    );
     let _ = schema;
 }
 
@@ -143,8 +147,7 @@ fn all_semantics_are_distinct_on_some_instance() {
     // exhibited pairwise on the vignette data in the E7 matrix; here we
     // just confirm the enum carries all five.
     assert_eq!(Semantics::ALL.len(), 5);
-    let labels: std::collections::BTreeSet<_> =
-        Semantics::ALL.iter().map(|s| s.label()).collect();
+    let labels: std::collections::BTreeSet<_> = Semantics::ALL.iter().map(|s| s.label()).collect();
     assert_eq!(labels.len(), 5);
 }
 
@@ -155,15 +158,103 @@ fn checked(src: &str) -> (chc_model::Schema, chc_core::CheckReport) {
 }
 
 mod incremental {
-    use chc_core::{check, check_incremental, evolve};
-    use chc_model::Range;
+    use chc_core::{check, check_incremental, evolve, DiagKind};
+    use chc_model::{Range, Schema};
+    use chc_sdl::compile;
     use chc_workloads::{generate, seed_contradictions, HierarchyParams};
+
+    /// The forward-reference diamond: `J` precedes the classes it joins,
+    /// so it comes before `P2` in class-id order.
+    const FORWARD_DIAMOND: &str = "
+        class J is-a P2, P3;
+        class P1 with p: {'a, 'b};
+        class P2 is-a P1 with p: {'c} excuses p on P1;
+        class P3 with p: {'a, 'c};
+    ";
+
+    /// Edits of kinds other than a dropped excuse, applied to an
+    /// error-bearing generated schema: a narrowed range at the last
+    /// declarer with declaring descendants, an is-a edge that makes a
+    /// join, and the excuse that repairs the first unexcused error.
+    fn more_edits(schema: &Schema) -> Vec<(&'static str, Schema)> {
+        let mut edits = Vec::new();
+        let ids: Vec<_> = schema.class_ids().collect();
+        let narrowable = ids.iter().rev().find_map(|&c| {
+            schema
+                .class(c)
+                .attrs
+                .iter()
+                .find_map(|decl| match &decl.spec.range {
+                    Range::Enum(toks)
+                        if toks.len() >= 2
+                            && schema
+                                .declarers_of(decl.name)
+                                .iter()
+                                .any(|&d| schema.is_strict_subclass(d, c)) =>
+                    {
+                        let first = *toks.iter().next().expect("nonempty");
+                        Some((c, decl.name, Range::enumeration([first]).expect("nonempty")))
+                    }
+                    _ => None,
+                })
+        });
+        if let Some((class, attr, range)) = narrowable {
+            edits.push((
+                "narrowed range",
+                evolve::set_range(schema, class, attr, range)
+                    .unwrap()
+                    .schema,
+            ));
+        }
+        let join = ids.iter().rev().find_map(|&sub| {
+            let superclass = ids.iter().copied().find(|&sup| {
+                !schema.is_subclass(sub, sup)
+                    && !schema.is_subclass(sup, sub)
+                    && !schema.class(sup).attrs.is_empty()
+            })?;
+            (!schema.supers(sub).is_empty()).then_some((sub, superclass))
+        });
+        if let Some((sub, superclass)) = join {
+            edits.push((
+                "join edge",
+                evolve::add_super_edge(schema, sub, superclass)
+                    .unwrap()
+                    .schema,
+            ));
+        }
+        let repair = check(schema).errors().find_map(|d| match d.kind {
+            DiagKind::UnexcusedContradiction { contradicted } => {
+                Some((d.class, d.attr, contradicted))
+            }
+            _ => None,
+        });
+        if let Some((class, attr, on)) = repair {
+            edits.push((
+                "added excuse",
+                evolve::add_excuse(schema, class, attr, attr, on)
+                    .unwrap()
+                    .schema,
+            ));
+        }
+        edits
+    }
 
     /// Incremental re-check after an edit must equal the full check, must
     /// re-check at least the edited class and its descendants, and the
     /// rest of the full report must be untouched by the edit.
     #[test]
     fn incremental_recheck_equals_filtered_full_check() {
+        // (label, old, new) — every input must re-check to the full check.
+        let fixed = compile(FORWARD_DIAMOND).unwrap();
+        let broken = compile(&FORWARD_DIAMOND.replace(" excuses p on P1", "")).unwrap();
+        let mut inputs = vec![
+            (
+                "forward diamond: dropped excuse".to_string(),
+                fixed.clone(),
+                broken.clone(),
+            ),
+            ("forward diamond: added excuse".to_string(), broken, fixed),
+        ];
         for seed in 0..10u64 {
             let gen = generate(&HierarchyParams {
                 classes: 50,
@@ -206,6 +297,14 @@ mod incremental {
                 outside(&before),
                 "seed {seed}: locality violated"
             );
+
+            for (kind, edited) in more_edits(&mutated) {
+                inputs.push((format!("seed {seed}: {kind}"), mutated.clone(), edited));
+            }
+        }
+        for (label, old, new) in &inputs {
+            let inc = check_incremental(old, &check(old), new);
+            assert_eq!(inc.report.diagnostics, check(new).diagnostics, "{label}");
         }
     }
 
@@ -244,7 +343,10 @@ mod virtualize_properties {
         let schema = vignettes::compiled(vignettes::HOSPITAL);
         let v1 = virtualize(&schema).unwrap();
         let v2 = virtualize(&v1.schema).unwrap();
-        assert!(v2.virtuals.is_empty(), "second pass must find nothing to lower");
+        assert!(
+            v2.virtuals.is_empty(),
+            "second pass must find nothing to lower"
+        );
         assert_eq!(v2.schema.num_classes(), v1.schema.num_classes());
     }
 
@@ -261,7 +363,11 @@ mod virtualize_properties {
         .unwrap();
         let v = virtualize(&schema).unwrap();
         assert_eq!(v.virtuals.len(), 2, "one virtual class per refinement site");
-        assert!(check(&v.schema).is_ok(), "{}", check(&v.schema).render(&v.schema));
+        assert!(
+            check(&v.schema).is_ok(),
+            "{}",
+            check(&v.schema).render(&v.schema)
+        );
         // Distinct names, distinct paths.
         assert_ne!(v.virtuals[0].class, v.virtuals[1].class);
         assert_ne!(v.virtuals[0].path, v.virtuals[1].path);
@@ -279,7 +385,11 @@ mod virtualize_properties {
         .unwrap();
         let v = virtualize(&schema).unwrap();
         assert_eq!(v.virtuals.len(), 1);
-        assert_eq!(v.virtuals[0].path.len(), 2, "path goes through the record field");
+        assert_eq!(
+            v.virtuals[0].path.len(),
+            2,
+            "path goes through the record field"
+        );
         assert!(check(&v.schema).is_ok());
     }
 }

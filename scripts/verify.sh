@@ -16,6 +16,9 @@ cargo test -q --offline --workspace
 echo "==> cargo fmt --check (chc-obs)"
 cargo fmt --check -p chc-obs
 
+echo "==> cargo fmt --check (chc-core)"
+cargo fmt --check -p chc-core
+
 echo "==> rustfmt --check (the chc CLI, src/bin/chc/)"
 rustfmt --edition 2021 --check src/bin/chc/*.rs
 

@@ -3,10 +3,11 @@
 //! proptest; each test sweeps a fixed, deterministic set of seeds).
 
 use excuses::core::{
-    check, evolve, validate_object, MissingPolicy, Semantics, ValidationOptions,
+    check, evolve, validate_object, DiagKind, MissingPolicy, Semantics, Severity,
+    ValidationOptions,
 };
 use excuses::extent::ExtentStore;
-use excuses::model::{ClassId, Range};
+use excuses::model::{ClassId, Range, Schema};
 use excuses::sdl::{compile, print_schema};
 use excuses::types::{subtype, CondTy, Prim, Ty};
 use excuses::workloads::rng::SplitMix64;
@@ -92,6 +93,62 @@ fn fault_seeding_detection_and_repair() {
             }
         }
         assert!(check(&schema).is_ok(), "{}", check(&schema).render(&schema));
+    }
+}
+
+/// A check finding keyed by names: (severity, kind, class, attribute,
+/// the other classes it names, sorted). Which excuser an
+/// `ExcuseRangeEscape` names and the order of an `IncompatibleParents`
+/// pair are picked by class id, so neither is part of the key.
+type NamedFinding = (Severity, &'static str, String, String, Vec<String>);
+
+fn named_findings(schema: &Schema) -> Vec<NamedFinding> {
+    let name = |c: &ClassId| schema.class_name(*c).to_string();
+    let mut findings: Vec<NamedFinding> = check(schema)
+        .diagnostics
+        .iter()
+        .map(|d| {
+            let (kind, mut named): (_, Vec<String>) = match &d.kind {
+                DiagKind::UnexcusedContradiction { contradicted } => {
+                    ("unexcused", vec![name(contradicted)])
+                }
+                DiagKind::ExcuseRangeEscape { contradicted, .. } => {
+                    ("escape", vec![name(contradicted)])
+                }
+                DiagKind::IncompatibleParents { a, b } => ("incompatible", vec![name(a), name(b)]),
+                DiagKind::JointlyUnsatisfiable { declarers } => {
+                    ("joint", declarers.iter().map(name).collect())
+                }
+                DiagKind::RedundantExcuse { on } => ("redundant", vec![name(on)]),
+            };
+            named.sort();
+            (d.severity, kind, name(&d.class), schema.resolve(d.attr).to_string(), named)
+        })
+        .collect();
+    findings.sort();
+    findings
+}
+
+/// The check verdict is a function of the schema, not of the order its
+/// classes are declared in: an error-bearing schema printed with its
+/// class statements reversed (so every class precedes its ancestors)
+/// gets the same findings by name.
+#[test]
+fn check_is_invariant_under_declaration_order() {
+    for seed in seeds(0x0DE7, 24, 0, 400) {
+        let gen = generate(&HierarchyParams { seed, classes: 60, ..Default::default() });
+        let n = gen.excused_sites.len().min(5);
+        let (mutated, _) = seed_contradictions(&gen, n, seed ^ 0xBAD);
+        let text = print_schema(&mutated);
+        let mut statements: Vec<&str> = text.split("\n\n").collect();
+        statements.reverse();
+        let reversed = compile(&statements.join("\n\n")).expect("reversed schemas compile");
+        let findings = named_findings(&mutated);
+        assert!(
+            findings.iter().any(|f| f.0 == Severity::Error),
+            "seed {seed}: no error seeded"
+        );
+        assert_eq!(named_findings(&reversed), findings, "seed {seed}");
     }
 }
 
