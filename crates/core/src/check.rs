@@ -17,6 +17,7 @@ use std::collections::HashSet;
 use chc_model::{ClassId, Range, Schema, Sym};
 
 use crate::diagnostics::{CheckReport, DiagKind, Diagnostic, Severity};
+use crate::shard;
 
 /// Checks a whole schema against the specialization-or-excuse rule.
 ///
@@ -48,18 +49,27 @@ pub fn check(schema: &Schema) -> CheckReport {
         chc_obs::names::MEM_CHECK_SCHEMA_BYTES,
         chc_obs::names::MEM_CHECK_SCHEMA_PEAK,
     );
-    let mut diagnostics: Vec<Diagnostic> = schema
-        .class_ids()
-        .flat_map(|class| check_class(schema, class))
-        .collect();
+    check_on(schema, shard::available_workers())
+}
+
+/// [`check`] with its classes spread over `workers` threads; the report
+/// is the same for every worker count.
+fn check_on(schema: &Schema, workers: usize) -> CheckReport {
+    let classes: Vec<ClassId> = schema.class_ids().collect();
+    let mut diagnostics: Vec<Diagnostic> =
+        shard::map_classes(&classes, workers, |class| check_class(schema, class))
+            .into_iter()
+            .flatten()
+            .collect();
     suppress_restated(schema, &mut diagnostics);
     CheckReport { diagnostics }
 }
 
 /// The raw findings at one class's sites. They depend on the schema and
 /// the class alone, never on other classes' findings, so classes can be
-/// checked in any order (the *locality* desideratum of §5). [`check`]
-/// then drops the raw findings that restate an error at another class.
+/// checked in any order and on any thread (the *locality* desideratum of
+/// §5). [`check`] then drops the raw findings that restate an error at
+/// another class.
 pub fn check_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
     chc_obs::counter(chc_obs::names::CHECK_CLASSES, 1);
     // Attribution: while an installed recorder consumes it, everything
@@ -740,6 +750,67 @@ mod tests {
              class P3 with p: 9..30; class Join is-a P1, P2, P3;",
         ] {
             assert_eq!(named_errors(src), named_errors(&reversed(src)), "{src}");
+        }
+    }
+
+    /// A generated clean hierarchy, and the same one with the excuses of
+    /// ten sites dropped.
+    fn seeded_pair(classes: usize, seed: u64) -> (Schema, Schema) {
+        let gen = chc_workloads::generate(&chc_workloads::HierarchyParams {
+            classes,
+            seed,
+            ..Default::default()
+        });
+        let (faulty, _) = chc_workloads::seed_contradictions(&gen, 10, seed ^ 0x5EED);
+        (gen.schema, faulty)
+    }
+
+    #[test]
+    fn report_does_not_depend_on_the_worker_count() {
+        for (classes, seed) in [(200, 1), (400, 2), (800, 3)] {
+            let (clean, faulty) = seeded_pair(classes, seed);
+            let report = check_on(&faulty, 1);
+            assert!(!report.is_ok(), "the seeded faults show");
+            let serial = report.render(&faulty);
+            for workers in [2, 3, 8] {
+                assert_eq!(
+                    check_on(&faulty, workers).render(&faulty),
+                    serial,
+                    "{workers} workers, {} classes",
+                    faulty.num_classes()
+                );
+            }
+            let inc = crate::check_incremental(&clean, &check(&clean), &faulty);
+            assert_eq!(inc.report.render(&faulty), serial, "incremental");
+        }
+    }
+
+    #[test]
+    fn workers_record_into_the_callers_scoped_recorder() {
+        let (_, faulty) = seeded_pair(400, 2);
+        let counted = |workers| {
+            let stats = std::sync::Arc::new(chc_obs::StatsRecorder::new());
+            let _scope = chc_obs::scoped(stats.clone());
+            check_on(&faulty, workers);
+            stats
+        };
+        let serial = counted(1);
+        let sharded = counted(4);
+        let n = faulty.num_classes() as u64;
+        assert!(n >= 400);
+        for stats in [&serial, &sharded] {
+            assert_eq!(stats.counter_value(chc_obs::names::CHECK_CLASSES), n);
+        }
+        for name in [
+            chc_obs::names::CHECK_CONTRADICTIONS,
+            chc_obs::names::SUBTYPE_QUERIES,
+        ] {
+            assert!(serial.counter_value(name) > 0, "{name}");
+            assert_eq!(
+                sharded.counter_value(name),
+                serial.counter_value(name),
+                "{name}"
+            );
         }
     }
 

@@ -22,6 +22,7 @@ use chc_model::{ClassId, Range, Schema, Span, Sym};
 
 use crate::check::{check_class, suppress_restated};
 use crate::diagnostics::{CheckReport, DiagKind, Diagnostic};
+use crate::shard;
 
 /// How an edit relates old readers and writers to the new schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -296,19 +297,15 @@ pub fn compare_ranges(
     }
 }
 
-/// The `(excused-attr, on-class)` clauses of a declaration, by name.
-fn excuse_names(schema: &Schema, class: ClassId, attr: Sym) -> BTreeSet<(String, String)> {
+/// The `(excused-attr, on-class)` clauses of a declaration, by name,
+/// borrowed from the schema.
+fn excuse_names(schema: &Schema, class: ClassId, attr: Sym) -> BTreeSet<(&str, &str)> {
     match schema.declared_attr(class, attr) {
         Some(decl) => decl
             .spec
             .excuses
             .iter()
-            .map(|e| {
-                (
-                    schema.resolve(e.attr).to_string(),
-                    schema.class_name(e.on).to_string(),
-                )
-            })
+            .map(|e| (schema.resolve(e.attr), schema.class_name(e.on)))
             .collect(),
         None => BTreeSet::new(),
     }
@@ -476,8 +473,8 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
             edits.push(SchemaEdit {
                 kind: EditKind::Refining,
                 detail: EditDetail::ExcuseAdded {
-                    excused: excused.clone(),
-                    on: on.clone(),
+                    excused: excused.to_string(),
+                    on: on.to_string(),
                 },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
@@ -495,8 +492,8 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
             edits.push(SchemaEdit {
                 kind: EditKind::Breaking,
                 detail: EditDetail::ExcuseRetired {
-                    excused: excused.clone(),
-                    on: on.clone(),
+                    excused: excused.to_string(),
+                    on: on.to_string(),
                 },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
@@ -656,8 +653,9 @@ fn translate_diag(old: &Schema, new: &Schema, d: &Diagnostic) -> Option<Diagnost
 
 /// Re-checks `new` in O(cone): classes outside the dirty set carry their
 /// diagnostics over from `old_report` (translated to new ids), classes
-/// inside it are re-checked with [`check_class`], and the merged set ends
-/// in the same suppression pass as a full check.
+/// inside it, and clean classes whose findings no longer translate, are
+/// re-checked with [`check_class`] on every core like [`check`] does, and
+/// the merged set ends in the same suppression pass as a full check.
 ///
 /// A class's findings depend only on its ancestors-with-self, which an
 /// edit outside the cone leaves alone, so the resulting report is
@@ -673,34 +671,40 @@ pub fn check_incremental(old: &Schema, old_report: &CheckReport, new: &Schema) -
         by_old_class.entry(d.class).or_default().push(d);
     }
 
-    let mut report = CheckReport::default();
+    // Per class in id order: its carried findings, or `None` when it is
+    // re-checked.
+    let mut carried: Vec<Option<Vec<Diagnostic>>> = Vec::with_capacity(new.num_classes());
+    let mut recheck = Vec::new();
     for nc in new.class_ids() {
-        if dirty.classes.contains(&nc) {
-            report.diagnostics.extend(check_class(new, nc));
-            continue;
-        }
-        // A clean class always has an old counterpart: unmatched new
-        // classes are ClassAdded edits and land in their own cone.
-        let oc = old
-            .class_by_name(new.class_name(nc))
-            .expect("clean class existed before");
-        let carried = by_old_class.get(&oc).map(Vec::as_slice).unwrap_or(&[]);
-        let mut translated = Vec::with_capacity(carried.len());
-        let mut ok = true;
-        for d in carried {
-            match translate_diag(old, new, d) {
-                Some(t) => translated.push(t),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            report.diagnostics.extend(translated);
+        let translated = if dirty.classes.contains(&nc) {
+            None
         } else {
-            report.diagnostics.extend(check_class(new, nc));
+            // A clean class always has an old counterpart: unmatched new
+            // classes are ClassAdded edits and land in their own cone.
+            let oc = old
+                .class_by_name(new.class_name(nc))
+                .expect("clean class existed before");
+            by_old_class
+                .get(&oc)
+                .map_or(&[][..], Vec::as_slice)
+                .iter()
+                .map(|d| translate_diag(old, new, d))
+                .collect::<Option<Vec<_>>>()
+        };
+        if translated.is_none() {
+            recheck.push(nc);
         }
+        carried.push(translated);
+    }
+    let mut rechecked = shard::map_classes(&recheck, shard::available_workers(), |class| {
+        check_class(new, class)
+    })
+    .into_iter();
+    let mut report = CheckReport::default();
+    for found in carried {
+        report.diagnostics.extend(
+            found.unwrap_or_else(|| rechecked.next().expect("one result per re-checked class")),
+        );
     }
     suppress_restated(new, &mut report.diagnostics);
 

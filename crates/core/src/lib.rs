@@ -28,6 +28,7 @@ pub mod diagnostics;
 pub mod evolve;
 pub mod sat;
 pub mod semantics;
+mod shard;
 pub mod validate;
 pub mod virtualize;
 

@@ -53,6 +53,11 @@
 //!   guard drops. This is what tests and the `report` binary use, so
 //!   parallel test threads never see each other's counters.
 //!
+//! Code that fans work out to threads carries the caller's context
+//! across with [`handoff`]: a worker records into the caller's scoped
+//! recorder under the caller's labels, and its tracked allocations fold
+//! back into the caller's at [`Worked::join`].
+//!
 //! ```
 //! use std::sync::Arc;
 //! use chc_obs as obs;
@@ -362,6 +367,63 @@ pub fn labeled_counter_scoped(name: &'static str, delta: u64) {
         if let Some(label) = current_label() {
             dispatch(|r| r.labeled_counter(name, label, delta));
         }
+    }
+}
+
+/// A thread's observability context, captured by [`handoff`] so a worker
+/// thread can record as if its work ran on the capturing thread: into
+/// the innermost [`scoped`] recorder (else the global one, as before),
+/// under the same [`label_scope`] labels, and with allocations tracked
+/// when the capturing thread had a [`memalloc::probe`] open.
+pub struct Handoff {
+    recorder: Option<Arc<dyn Recorder>>,
+    labels: Vec<u64>,
+    track_mem: bool,
+}
+
+/// Captures the calling thread's observability context for
+/// [`Handoff::run`] on worker threads. See docs/OBSERVABILITY.md,
+/// "Worker threads".
+pub fn handoff() -> Handoff {
+    Handoff {
+        recorder: LOCAL.with(|l| l.borrow().last().cloned()),
+        labels: LABELS.with(|l| l.borrow().clone()),
+        track_mem: memalloc::probing(),
+    }
+}
+
+impl Handoff {
+    /// Runs `work` on the current thread inside the captured context.
+    /// Hand the result back to the capturing thread and [`Worked::join`]
+    /// it there.
+    pub fn run<R>(&self, work: impl FnOnce() -> R) -> Worked<R> {
+        let _scope = self.recorder.clone().map(scoped);
+        let _labels: Vec<LabelGuard> = self.labels.iter().map(|&l| label_scope(l)).collect();
+        let probe = self.track_mem.then(memalloc::probe);
+        let value = work();
+        Worked {
+            value,
+            mem: probe.map(memalloc::hand_back),
+        }
+    }
+}
+
+/// What a worker produced under a [`Handoff`].
+#[must_use = "join it on the capturing thread to fold in the worker's allocations"]
+pub struct Worked<R> {
+    value: R,
+    mem: Option<memalloc::WorkerMem>,
+}
+
+impl<R> Worked<R> {
+    /// On the thread that called [`handoff`]: adds the worker's tracked
+    /// allocations to this thread's counters (see [`memalloc`]) and
+    /// returns the worker's value.
+    pub fn join(self) -> R {
+        if let Some(mem) = self.mem {
+            memalloc::absorb(mem);
+        }
+        self.value
     }
 }
 

@@ -28,6 +28,11 @@
 //!   tracking allocator is live, so binaries without the wrapper never
 //!   grow spurious zero-valued `mem.*` rows in their snapshots.
 //!
+//! A worker thread entered through [`crate::Handoff`] probes its own
+//! allocations when the handing thread had a probe open, and
+//! [`crate::Worked::join`] folds them back into the handing thread's
+//! counters, so a probe around parallel work sees the workers' bytes.
+//!
 //! Reallocation is accounted as a free of the old size plus an
 //! allocation of the new size. Per-thread "peak live" is the maximum
 //! *net growth* of the thread's live bytes over the probe window
@@ -230,6 +235,42 @@ impl Drop for ThreadProbe {
         let _ = TL_PEAK.try_with(|p| p.set(p.get().max(self.saved_peak)));
         let _ = TL_PROBES.try_with(|c| c.set(c.get().saturating_sub(1)));
     }
+}
+
+/// Whether this thread has a [`ThreadProbe`] open, i.e. is attributing
+/// its allocations.
+pub(crate) fn probing() -> bool {
+    TL_PROBES.with(|c| c.get() > 0)
+}
+
+/// A worker thread's tracked allocations, carried back to the thread
+/// that handed it work (see [`crate::Handoff`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WorkerMem {
+    stats: ProbeStats,
+    /// Net live-byte growth the worker leaves behind: what it allocated
+    /// and did not free, typically the results it hands back.
+    net_live: i64,
+}
+
+/// Closes a worker's probe, keeping what it measured for [`absorb`].
+pub(crate) fn hand_back(probe: ThreadProbe) -> WorkerMem {
+    WorkerMem {
+        stats: probe.stats(),
+        net_live: TL_LIVE.with(Cell::get) - probe.start_live,
+    }
+}
+
+/// Folds a worker's allocations into this thread's counters as if the
+/// worker's share had run here at this moment: its bytes add to the
+/// cumulative count, its peak stacks on this thread's current live bytes,
+/// and the bytes it left live become this thread's, so freeing them here
+/// balances.
+pub(crate) fn absorb(mem: WorkerMem) {
+    TL_ALLOC.with(|c| c.set(c.get() + mem.stats.bytes_allocated));
+    let live = TL_LIVE.with(Cell::get);
+    TL_PEAK.with(|p| p.set(p.get().max(live + mem.stats.peak_live as i64)));
+    TL_LIVE.with(|c| c.set(live + mem.net_live));
 }
 
 /// A fire-and-forget memory probe for instrumented spans: while the

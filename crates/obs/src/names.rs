@@ -17,6 +17,10 @@ pub const CHECK_EXCUSES_RESOLVED: &str = "check.excuses_resolved";
 pub const CHECK_JOINT_SAT_CALLS: &str = "check.joint_sat_calls";
 /// Span: one whole `check(schema)` run.
 pub const SPAN_CHECK_SCHEMA: &str = "check.schema";
+/// Span: one checker worker's share of the classes, on its own thread
+/// (the calling thread runs a share too), so the journal views see
+/// worker time.
+pub const SPAN_CHECK_SHARD: &str = "check.shard";
 /// Labeled histogram: nanoseconds spent checking one class; the label is
 /// the class id. Only emitted while a recorder is installed; the
 /// per-class time shares in `chc profile` come from here.

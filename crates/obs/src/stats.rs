@@ -255,8 +255,9 @@ struct Inner {
 /// Counters sum globally *and* are attributed to the innermost open
 /// span, so the rendered tree shows where the work happened. Interior
 /// mutability is a plain `Mutex`: the recorder is only consulted when
-/// observability is explicitly enabled, and the instrumented system is
-/// effectively single-threaded today.
+/// observability is explicitly enabled. Its one open-span stack is shared
+/// by every thread, so totals stay exact under the checker's worker
+/// threads, but spans that overlap across threads nest in arrival order.
 #[derive(Debug, Default)]
 pub struct StatsRecorder {
     inner: Mutex<Inner>,

@@ -17,7 +17,12 @@ use std::time::Duration;
 
 use chc_obs::journal::TRACE_CAPACITY;
 use chc_obs::json::JsonValue;
-use chc_obs::{EntryKind, FanoutRecorder, Journal, SpanSampler, StatsRecorder};
+use chc_obs::memalloc::{self, TrackingAllocator};
+use chc_obs::{EntryKind, FanoutRecorder, Journal, ProfileRecorder, SpanSampler, StatsRecorder};
+
+// The handoff test reads per-thread allocation probes.
+#[global_allocator]
+static ALLOC: TrackingAllocator = TrackingAllocator;
 
 /// SplitMix64, same constants as `chc_workloads::rng` (obs cannot
 /// depend on workloads without a cycle).
@@ -328,4 +333,37 @@ fn one_journal_shared_by_many_threads_keeps_tids_apart() {
         }
     }
     assert_eq!(journal.counters(), vec![("t.n", (threads * 200) as u64)]);
+}
+
+#[test]
+fn a_handed_off_worker_records_in_the_callers_context() {
+    const WORKER_BYTES: usize = 1 << 20;
+    let profile = Arc::new(ProfileRecorder::new());
+    let _scope = chc_obs::scoped(profile.clone());
+    let _label = chc_obs::label_scope(42);
+    let probe = memalloc::probe();
+    let record = || {
+        chc_obs::counter("t.handoff", 3);
+        chc_obs::labeled_counter_scoped("t.handoff.labeled", 5);
+        std::hint::black_box(vec![0u8; WORKER_BYTES]).len()
+    };
+    // A bare thread reports to nothing: no scope, no label, no probe.
+    std::thread::spawn(record).join().unwrap();
+    assert_eq!(profile.counter_value("t.handoff"), 0);
+
+    let context = chc_obs::handoff();
+    let worked = std::thread::scope(|s| s.spawn(|| context.run(record)).join().unwrap());
+    assert!(
+        probe.stats().bytes_allocated < WORKER_BYTES as u64,
+        "the worker's bytes arrive at join"
+    );
+    assert_eq!(worked.join(), WORKER_BYTES);
+    let after = probe.stats();
+    assert!(after.bytes_allocated >= WORKER_BYTES as u64, "{after:?}");
+    assert!(after.peak_live >= WORKER_BYTES as u64, "{after:?}");
+    assert_eq!(profile.counter_value("t.handoff"), 3);
+    let labeled = profile
+        .labeled("t.handoff.labeled")
+        .expect("labeled series");
+    assert_eq!(labeled.entries, vec![(42, 5)], "under the caller's label");
 }

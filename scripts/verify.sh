@@ -52,6 +52,7 @@ grep -q '"hot_classes"' "$prof"
 if grep -Evq '^[^ ]+ [0-9]+$' "$flame"; then        # folded-stack line shape
     echo "FAIL: sampled folded stacks have a malformed line" >&2; exit 1
 fi
+grep -q 'check\.shard' "$flame"                     # checker workers are sampled
 test "$(wc -l < "$pout")" -eq 1                     # stdout: one summary line
 grep -q '^profile: check' "$pout"
 
