@@ -33,7 +33,7 @@ pub mod validate;
 pub mod virtualize;
 
 pub use check::check;
-pub use diagnostics::{CheckReport, DiagKind, Diagnostic, Severity};
+pub use diagnostics::{CheckReport, CheckReportDisplay, DiagKind, Diagnostic, Severity};
 pub use evolve::diff::{
     check_incremental, diff_schemas, edit_cone, impact_cone, DirtySet, EditDetail, EditKind,
     IncrementalCheck, RangeRel, SchemaDiff, SchemaEdit,

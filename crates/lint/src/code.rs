@@ -169,12 +169,8 @@ impl LintCode {
             LintCode::ExcuseRetiredOrphan => {
                 "excuse retired while its contradiction persists; excused objects orphaned"
             }
-            LintCode::SilentWidening => {
-                "range widened with no subclass forced to react"
-            }
-            LintCode::ConeReport => {
-                "impact cone of one schema edit: dirty classes and extents"
-            }
+            LintCode::SilentWidening => "range widened with no subclass forced to react",
+            LintCode::ConeReport => "impact cone of one schema edit: dirty classes and extents",
             LintCode::IncoherentClass => {
                 "constraints admit no value for an attribute; the class can have no instances"
             }
@@ -190,18 +186,12 @@ impl LintCode {
             LintCode::NoopRedefinition => {
                 "attribute re-declared with exactly an inherited range and no excuses"
             }
-            LintCode::UnusedClass => {
-                "class never referenced anywhere and declaring no attributes"
-            }
-            LintCode::UnsafePath => {
-                "query path can hit an excused or absent attribute at run time"
-            }
+            LintCode::UnusedClass => "class never referenced anywhere and declaring no attributes",
+            LintCode::UnsafePath => "query path can hit an excused or absent attribute at run time",
             LintCode::DeadGuard => {
                 "`not in C` filter that excludes no possible member of the source"
             }
-            LintCode::EmptySource => {
-                "scanned class is incoherent, so the query is vacuous"
-            }
+            LintCode::EmptySource => "scanned class is incoherent, so the query is vacuous",
             LintCode::DischargedCheck => {
                 "run-time check eliminated by the compiler, with its derivation"
             }

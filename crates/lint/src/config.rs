@@ -41,7 +41,10 @@ fn default_level(code: LintCode) -> LintLevel {
 
 impl Default for LintConfig {
     fn default() -> Self {
-        LintConfig { levels: LintCode::ALL.map(default_level), deny_warnings: false }
+        LintConfig {
+            levels: LintCode::ALL.map(default_level),
+            deny_warnings: false,
+        }
     }
 }
 

@@ -106,9 +106,9 @@ pub fn run_queries(
     });
     for (qi, sq) in queries.iter().enumerate() {
         for exp in &sq.expect {
-            let met = fired[qi].iter().any(|c| {
-                exp.eq_ignore_ascii_case(c.code()) || exp == c.name()
-            });
+            let met = fired[qi]
+                .iter()
+                .any(|c| exp.eq_ignore_ascii_case(c.code()) || exp == c.name());
             if !met {
                 findings.push(Finding {
                     code: LintCode::parse(exp).unwrap_or(LintCode::UnsafePath),
@@ -118,9 +118,7 @@ pub fn run_queries(
                     span: Some(sq.span),
                     file: Some(file.to_string()),
                     query: Some(qi),
-                    message: format!(
-                        "expected {exp} to fire on this query, but it did not"
-                    ),
+                    message: format!("expected {exp} to fire on this query, but it did not"),
                     derivation: None,
                 });
             }
@@ -158,7 +156,9 @@ pub fn run_diff(
     config: &LintConfig,
 ) -> DiffReport {
     let _span = chc_obs::span(chc_obs::names::SPAN_LINT_RUN);
-    let old_file = old_file.or_else(|| old.source_map().file()).unwrap_or("<old>");
+    let old_file = old_file
+        .or_else(|| old.source_map().file())
+        .unwrap_or("<old>");
     let diff = chc_core::diff_schemas(old, new);
     let dirty = chc_core::impact_cone(old, new, &diff);
     let mut findings = Vec::new();
@@ -174,7 +174,11 @@ pub fn run_diff(
     chc_obs::counter(chc_obs::names::LINT_FIRED, findings.len() as u64);
 
     sort_findings(&mut findings);
-    DiffReport { diff, dirty, report: LintReport { findings } }
+    DiffReport {
+        diff,
+        dirty,
+        report: LintReport { findings },
+    }
 }
 
 /// Runs the schema lints and the query safety analyzer in one report.

@@ -47,7 +47,8 @@
 //! schema pair, all with a [`LintConfig`] (per-code allow/warn/deny plus
 //! `deny_warnings`); render the [`LintReport`] with [`render_report`] /
 //! [`render_report_sources`] (rustc-style text quoting the offending
-//! line) or [`LintReport::to_json`] (round-trippable through
+//! line; [`display_report`] writes the same text through `Display`) or
+//! [`LintReport::to_json`] (round-trippable through
 //! `chc_obs::json`, with a `kind` field distinguishing schema, query,
 //! and diff findings).
 
@@ -66,4 +67,6 @@ pub use code::LintCode;
 pub use config::{LintConfig, LintLevel};
 pub use engine::{run, run_diff, run_queries, run_with_queries, DiffReport, LintReport};
 pub use finding::Finding;
-pub use render::{render_finding, render_report, render_report_sources};
+pub use render::{
+    display_report, render_finding, render_report, render_report_sources, ReportDisplay,
+};

@@ -119,7 +119,9 @@ fn excuse_retired_orphan(
     old_file: &str,
     findings: &mut Vec<Finding>,
 ) {
-    let EditDetail::ExcuseRetired { excused, on } = &edit.detail else { return };
+    let EditDetail::ExcuseRetired { excused, on } = &edit.detail else {
+        return;
+    };
     let Some(nc) = edit.new_class else { return };
     let (Some(attr), Some(excused_sym), Some(on_id)) = (
         edit.attr.as_deref().and_then(|a| new.sym(a)),
@@ -128,7 +130,9 @@ fn excuse_retired_orphan(
     ) else {
         return;
     };
-    let Some(decl) = new.declared_attr(nc, attr) else { return };
+    let Some(decl) = new.declared_attr(nc, attr) else {
+        return;
+    };
     // Still contradicted in the new schema? Find the constraint the old
     // clause excused; if the edge or constraint is gone too, there is
     // nothing left to orphan.
@@ -159,7 +163,13 @@ fn excuse_retired_orphan(
 
 /// D004: info — a widening nothing below was forced to acknowledge.
 fn silent_widening(new: &Schema, edit: &SchemaEdit, findings: &mut Vec<Finding>) {
-    let EditDetail::RangeWidened { old: old_r, new: new_r } = &edit.detail else { return };
+    let EditDetail::RangeWidened {
+        old: old_r,
+        new: new_r,
+    } = &edit.detail
+    else {
+        return;
+    };
     let Some(nc) = edit.new_class else { return };
     let attr = edit.attr.as_deref().unwrap_or("?");
     findings.push(Finding {

@@ -38,7 +38,11 @@ impl<'s> LintCtx<'s> {
                 }
             }
         }
-        LintCtx { schema, incoherent_at, incoherent }
+        LintCtx {
+            schema,
+            incoherent_at,
+            incoherent,
+        }
     }
 
     /// Do `a` and `b` share a descendant (including themselves)? This is

@@ -22,18 +22,13 @@ use chc_core::{admits_common_value, explain_admissibility, Derivation, Virtualiz
 use chc_model::{ClassId, Schema, Sym};
 use chc_query::ast::Pred;
 use chc_query::{analyze_query, synthesize_guards, SpannedQuery};
-use chc_types::{Atom, EntityFacts, Hazard, TypeContext, TySet};
+use chc_types::{Atom, EntityFacts, Hazard, TySet, TypeContext};
 
 use crate::config::LintLevel;
 use crate::finding::Finding;
 use crate::LintCode;
 
-pub(crate) fn run(
-    v: &Virtualized,
-    queries: &[SpannedQuery],
-    file: &str,
-    out: &mut Vec<Finding>,
-) {
+pub(crate) fn run(v: &Virtualized, queries: &[SpannedQuery], file: &str, out: &mut Vec<Finding>) {
     let ctx = TypeContext::with_virtuals(v);
     let schema = &v.schema;
     // Scan-class incoherence, computed lazily: `.chq` batches tend to

@@ -38,7 +38,9 @@ fn q001_predictions_match_unchecked_failures_on_e4_data() {
         // Ground truth: run the same query with every check stripped and
         // count the rows that would have produced a type error.
         let plan = compile(&ctx, &sq.query, CheckMode::Never).expect(text);
-        let failures = execute(&v.schema, &db.store, &plan).stats.unchecked_failures;
+        let failures = execute(&v.schema, &db.store, &plan)
+            .stats
+            .unchecked_failures;
         assert_eq!(
             flagged,
             failures > 0,
@@ -57,10 +59,15 @@ fn the_flagged_query_fails_once_per_exceptional_row() {
     });
     let v = &db.virtualized;
     let ctx = TypeContext::with_virtuals(v);
-    let sq = parse_query_spanned(&v.schema, "for p in Patient emit p.treatedAt.location.state")
-        .unwrap();
+    let sq = parse_query_spanned(
+        &v.schema,
+        "for p in Patient emit p.treatedAt.location.state",
+    )
+    .unwrap();
     let plan = compile(&ctx, &sq.query, CheckMode::Never).unwrap();
-    let failures = execute(&v.schema, &db.store, &plan).stats.unchecked_failures;
+    let failures = execute(&v.schema, &db.store, &plan)
+        .stats
+        .unchecked_failures;
     assert_eq!(
         failures,
         db.store.count(db.ids.tubercular),
@@ -78,8 +85,11 @@ fn the_synthesized_guard_compiles_to_a_checkless_plan() {
     let ctx = TypeContext::with_virtuals(v);
 
     // The analyzer proposes the guard for the hazardous query…
-    let sq = parse_query_spanned(&v.schema, "for p in Patient emit p.treatedAt.location.state")
-        .unwrap();
+    let sq = parse_query_spanned(
+        &v.schema,
+        "for p in Patient emit p.treatedAt.location.state",
+    )
+    .unwrap();
     let report = run_queries(v, std::slice::from_ref(&sq), None, &LintConfig::new());
     let suggestion = report
         .findings

@@ -216,3 +216,61 @@ fn api_built_schemas_lint_without_spans() {
     assert!(report.findings[0].span.is_none());
     assert!(report.findings[0].location(&schema).is_none());
 }
+
+/// The summary line, spelled out independently of the renderer.
+fn summary(report: &chc_lint::LintReport) -> String {
+    let counts = [
+        (report.denied().count(), "error"),
+        (report.warnings().count(), "warning"),
+        (report.infos().count(), "note"),
+    ];
+    let parts: Vec<String> = counts
+        .iter()
+        .filter(|(n, _)| *n > 0)
+        .map(|(n, what)| format!("{n} {what}{}", if *n == 1 { "" } else { "s" }))
+        .collect();
+    format!("lint: {} emitted", parts.join(", "))
+}
+
+#[test]
+fn report_is_the_finding_blocks_and_the_summary() {
+    let mut deny_unused = LintConfig::new();
+    deny_unused.set(LintCode::UnusedClass, LintLevel::Deny);
+    let mut checked = 0;
+    for (_, file, src, _, _) in PAIRS {
+        for config in [LintConfig::new(), deny_unused.clone()] {
+            let schema = chc_sdl::compile_with_source(src, file).expect(file);
+            let report = run(&schema, &config);
+            let mut blocks: Vec<String> = report
+                .findings
+                .iter()
+                .map(|f| chc_lint::render_finding(f, &schema, Some(src)))
+                .collect();
+            blocks.push(summary(&report));
+            let text = chc_lint::render_report_sources(&report, &schema, Some(src), None);
+            assert_eq!(text, blocks.join("\n\n"), "{file}");
+            assert_eq!(
+                chc_lint::display_report(&report, &schema, Some(src), None).to_string(),
+                text
+            );
+            checked += report.findings.len();
+        }
+    }
+    assert!(checked > PAIRS.len());
+    let (schema, report) = lint(include_str!("fixtures/L006_clean.sdl"), "L006_clean.sdl");
+    assert_eq!(chc_lint::render_report(&report, &schema, None), "");
+}
+
+#[test]
+fn crlf_source_quotes_the_same_lines_as_its_lf_twin() {
+    for (_, file, lf, _, _) in PAIRS {
+        let crlf = lf.replace('\n', "\r\n");
+        let (lf_schema, lf_report) = lint(lf, file);
+        let (crlf_schema, crlf_report) = lint(&crlf, file);
+        let lf_text = chc_lint::render_report(&lf_report, &lf_schema, Some(lf));
+        let crlf_text = chc_lint::render_report(&crlf_report, &crlf_schema, Some(&crlf));
+        assert!(lf_text.contains(" | "), "{file}: a line is quoted");
+        assert!(!crlf_text.contains('\r'), "{file}");
+        assert_eq!(crlf_text, lf_text, "{file}");
+    }
+}

@@ -164,7 +164,11 @@ fn unmet_expectation_is_a_deny_finding() {
 
 #[test]
 fn query_findings_round_trip_through_json_with_kind_and_file() {
-    let (v, report) = lint(MINI_HOSPITAL, include_str!("fixtures/Q001_fires.chq"), "q.chq");
+    let (v, report) = lint(
+        MINI_HOSPITAL,
+        include_str!("fixtures/Q001_fires.chq"),
+        "q.chq",
+    );
     let json = report.to_json(&v.schema);
     let text = json.render();
     let parsed = chc_obs::json::parse(&text).expect("valid JSON");

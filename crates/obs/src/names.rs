@@ -96,6 +96,13 @@ pub const BASELINE_SEARCH_STEPS: &str = "baseline.search_steps";
 
 /// Span: parsing + lowering SDL source into a `Schema`.
 pub const SPAN_SDL_COMPILE: &str = "sdl.compile";
+/// Span: lexing SDL source into tokens (child of `sdl.compile`).
+pub const SPAN_SDL_LEX: &str = "sdl.lex";
+/// Span: parsing the tokens into an AST (child of `sdl.compile`).
+pub const SPAN_SDL_PARSE: &str = "sdl.parse";
+/// Span: resolving the AST's names and building the `Schema` (child of
+/// `sdl.compile`).
+pub const SPAN_SDL_LOWER: &str = "sdl.lower";
 
 // --- chc-extent (data loading, E5) ---
 

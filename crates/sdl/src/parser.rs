@@ -20,35 +20,39 @@ use crate::error::SdlError;
 use crate::lexer::lex;
 use crate::token::{Pos, Spanned, Tok};
 
-/// Parses SDL source text into an AST.
-pub fn parse(src: &str) -> Result<SchemaAst, SdlError> {
-    let toks = lex(src)?;
+/// Parses SDL source text into an AST that borrows its names from `src`.
+pub fn parse(src: &str) -> Result<SchemaAst<'_>, SdlError> {
+    parse_tokens(lex(src)?)
+}
+
+/// Parses the tokens [`lex`] produced.
+pub(crate) fn parse_tokens(toks: Vec<Spanned<'_>>) -> Result<SchemaAst<'_>, SdlError> {
     Parser { toks, at: 0 }.schema()
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'src> {
+    toks: Vec<Spanned<'src>>,
     at: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.at].tok
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Tok<'src> {
+        self.toks[self.at].tok
     }
 
     fn pos(&self) -> Pos {
         self.toks[self.at].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.at].tok.clone();
+    fn bump(&mut self) -> Tok<'src> {
+        let t = self.peek();
         if self.at + 1 < self.toks.len() {
             self.at += 1;
         }
         t
     }
 
-    fn eat(&mut self, want: &Tok) -> bool {
+    fn eat(&mut self, want: Tok<'_>) -> bool {
         if self.peek() == want {
             self.bump();
             true
@@ -57,9 +61,8 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, want: Tok, ctx: &str) -> Result<(), SdlError> {
-        if self.peek() == &want {
-            self.bump();
+    fn expect(&mut self, want: Tok<'_>, ctx: &str) -> Result<(), SdlError> {
+        if self.eat(want) {
             Ok(())
         } else {
             Err(self.unexpected(ctx))
@@ -74,17 +77,17 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, ctx: &str) -> Result<String, SdlError> {
+    fn ident(&mut self, ctx: &str) -> Result<&'src str, SdlError> {
         match self.peek() {
-            Tok::Ident(_) => {
-                let Tok::Ident(s) = self.bump() else { unreachable!() };
+            Tok::Ident(s) => {
+                self.bump();
                 Ok(s)
             }
             _ => Err(self.unexpected(ctx)),
         }
     }
 
-    fn schema(mut self) -> Result<SchemaAst, SdlError> {
+    fn schema(mut self) -> Result<SchemaAst<'src>, SdlError> {
         let mut classes = Vec::new();
         while !matches!(self.peek(), Tok::Eof) {
             classes.push(self.class()?);
@@ -92,50 +95,55 @@ impl Parser {
         Ok(SchemaAst { classes })
     }
 
-    fn class(&mut self) -> Result<ClassAst, SdlError> {
+    fn class(&mut self) -> Result<ClassAst<'src>, SdlError> {
         let pos = self.pos();
         self.expect(Tok::KwClass, "`class`")?;
         let name = self.ident("a class name")?;
         let mut supers = Vec::new();
-        if self.eat(&Tok::KwIsA) {
+        if self.eat(Tok::KwIsA) {
             loop {
                 let pos = self.pos();
                 let name = self.ident("a superclass name")?;
                 supers.push(SuperAst { name, pos });
-                if !self.eat(&Tok::Comma) {
+                if !self.eat(Tok::Comma) {
                     break;
                 }
             }
         }
         let mut attrs = Vec::new();
-        if self.eat(&Tok::KwWith) {
+        if self.eat(Tok::KwWith) {
             attrs = self.attrs(&[Tok::KwClass, Tok::Eof])?;
         }
         // Optional trailing semicolon after a class body.
-        self.eat(&Tok::Semi);
-        Ok(ClassAst { name, supers, attrs, pos })
+        self.eat(Tok::Semi);
+        Ok(ClassAst {
+            name,
+            supers,
+            attrs,
+            pos,
+        })
     }
 
     /// Parses `attr (; attr)* ;?` until one of `stops` (not consumed).
-    fn attrs(&mut self, stops: &[Tok]) -> Result<Vec<AttrAst>, SdlError> {
+    fn attrs(&mut self, stops: &[Tok<'_>]) -> Result<Vec<AttrAst<'src>>, SdlError> {
         let mut out = Vec::new();
         loop {
-            if stops.contains(self.peek()) {
+            if stops.contains(&self.peek()) {
                 return Ok(out);
             }
             out.push(self.attr()?);
             // Attributes are separated by `;`; a stop token also ends the list.
-            if self.eat(&Tok::Semi) {
+            if self.eat(Tok::Semi) {
                 continue;
             }
-            if stops.contains(self.peek()) {
+            if stops.contains(&self.peek()) {
                 return Ok(out);
             }
             return Err(self.unexpected("`;` or the end of the attribute list"));
         }
     }
 
-    fn attr(&mut self) -> Result<AttrAst, SdlError> {
+    fn attr(&mut self) -> Result<AttrAst<'src>, SdlError> {
         let pos = self.pos();
         let name = self.ident("an attribute name")?;
         self.expect(Tok::Colon, "`:` after attribute name")?;
@@ -149,11 +157,16 @@ impl Parser {
             let on = self.ident("the excused class's name")?;
             excuses.push(ExcuseAst { attr, on, pos });
         }
-        Ok(AttrAst { name, range, excuses, pos })
+        Ok(AttrAst {
+            name,
+            range,
+            excuses,
+            pos,
+        })
     }
 
-    fn range(&mut self) -> Result<RangeAst, SdlError> {
-        match self.peek().clone() {
+    fn range(&mut self) -> Result<RangeAst<'src>, SdlError> {
+        match self.peek() {
             Tok::Int(lo) => {
                 self.bump();
                 self.expect(Tok::DotDot, "`..` in integer range")?;
@@ -186,13 +199,13 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 self.bump();
-                match name.as_str() {
+                match name {
                     "String" => Ok(RangeAst::Str),
                     "Integer" => Ok(RangeAst::Integer),
                     "None" => Ok(RangeAst::None),
                     "AnyEntity" | "ANYENTITY" => Ok(RangeAst::AnyEntity),
                     _ => {
-                        if self.eat(&Tok::LBracket) {
+                        if self.eat(Tok::LBracket) {
                             let fields = self.attrs(&[Tok::RBracket])?;
                             self.expect(Tok::RBracket, "`]`")?;
                             Ok(RangeAst::Refined(name, fields))
@@ -230,8 +243,7 @@ mod tests {
         let ast = parse(src).unwrap();
         assert_eq!(ast.classes.len(), 3);
         assert_eq!(ast.classes[0].name, "Address");
-        let supers: Vec<&str> =
-            ast.classes[2].supers.iter().map(|s| s.name.as_str()).collect();
+        let supers: Vec<&str> = ast.classes[2].supers.iter().map(|s| s.name).collect();
         assert_eq!(supers, vec!["Person"]);
         assert_eq!(ast.classes[2].attrs.len(), 3);
         assert_eq!(ast.classes[2].attrs[0].range, RangeAst::Int(16, 65));
@@ -267,21 +279,20 @@ mod tests {
         let RangeAst::Refined(base, fields) = &attr.range else {
             panic!("expected refined class range");
         };
-        assert_eq!(base, "Hospital");
+        assert_eq!(*base, "Hospital");
         assert_eq!(fields.len(), 2);
         assert_eq!(fields[0].excuses[0].on, "Hospital");
         let RangeAst::Refined(base2, inner) = &fields[1].range else {
             panic!("expected nested refined range");
         };
-        assert_eq!(base2, "Address");
-        assert_eq!(inner[1].range, RangeAst::Enum(vec!["Switzerland".into()]));
+        assert_eq!(*base2, "Address");
+        assert_eq!(inner[1].range, RangeAst::Enum(vec!["Switzerland"]));
     }
 
     #[test]
     fn parses_multiple_supers() {
         let ast = parse("class Dick is-a Quaker, Republican").unwrap();
-        let supers: Vec<&str> =
-            ast.classes[0].supers.iter().map(|s| s.name.as_str()).collect();
+        let supers: Vec<&str> = ast.classes[0].supers.iter().map(|s| s.name).collect();
         assert_eq!(supers, vec!["Quaker", "Republican"]);
         // Each superclass reference carries its own position.
         assert_eq!(ast.classes[0].supers[0].pos.col, 17);
@@ -323,11 +334,8 @@ mod tests {
 
     #[test]
     fn special_type_names() {
-        let ast = parse(
-            "class T with a: Integer; b: None; c: AnyEntity; d: String",
-        )
-        .unwrap();
-        let rs: Vec<&RangeAst> = ast.classes[0].attrs.iter().map(|a| &a.range).collect();
+        let ast = parse("class T with a: Integer; b: None; c: AnyEntity; d: String").unwrap();
+        let rs: Vec<&RangeAst<'_>> = ast.classes[0].attrs.iter().map(|a| &a.range).collect();
         assert_eq!(rs[0], &RangeAst::Integer);
         assert_eq!(rs[1], &RangeAst::None);
         assert_eq!(rs[2], &RangeAst::AnyEntity);

@@ -12,10 +12,12 @@
 //! source position.
 
 use chc_model::{AttrSpec, ClassId, FieldSpec, ModelError, Range, Schema, SchemaBuilder, Sym};
+use chc_obs::names;
 
 use crate::ast::{AttrAst, RangeAst, SchemaAst};
 use crate::error::SdlError;
-use crate::parser::parse;
+use crate::lexer::lex;
+use crate::parser::parse_tokens;
 use crate::token::Pos;
 
 /// Parses and lowers SDL source text into a checked-for-structure schema.
@@ -30,81 +32,96 @@ use crate::token::Pos;
 /// assert!(schema.is_strict_subclass(employee, person));
 /// ```
 pub fn compile(src: &str) -> Result<Schema, SdlError> {
-    let _span = chc_obs::span(chc_obs::names::SPAN_SDL_COMPILE);
-    let _mem = chc_obs::memalloc::span_mem(
-        chc_obs::names::MEM_SDL_COMPILE_BYTES,
-        chc_obs::names::MEM_SDL_COMPILE_PEAK,
-    );
-    lower_with_file(&parse(src)?, None)
+    compile_phases(src, None)
 }
 
 /// Like [`compile`], but records `file` in the schema's
 /// [`SourceMap`](chc_model::SourceMap), so diagnostics over the resulting
 /// schema render positions as `file:line:col` rather than `line:col`.
 pub fn compile_with_source(src: &str, file: &str) -> Result<Schema, SdlError> {
-    let _span = chc_obs::span(chc_obs::names::SPAN_SDL_COMPILE);
-    let _mem = chc_obs::memalloc::span_mem(
-        chc_obs::names::MEM_SDL_COMPILE_BYTES,
-        chc_obs::names::MEM_SDL_COMPILE_PEAK,
-    );
-    lower_with_file(&parse(src)?, Some(file))
+    compile_phases(src, Some(file))
 }
 
 /// Lowers an already-parsed AST.
-pub fn lower(ast: &SchemaAst) -> Result<Schema, SdlError> {
+pub fn lower(ast: &SchemaAst<'_>) -> Result<Schema, SdlError> {
     lower_with_file(ast, None)
 }
 
-fn lower_with_file(ast: &SchemaAst, file: Option<&str>) -> Result<Schema, SdlError> {
+/// One `sdl.compile` span over its `sdl.lex`, `sdl.parse` and `sdl.lower`
+/// phases.
+fn compile_phases(src: &str, file: Option<&str>) -> Result<Schema, SdlError> {
+    let _compile = chc_obs::span(names::SPAN_SDL_COMPILE);
+    let _mem =
+        chc_obs::memalloc::span_mem(names::MEM_SDL_COMPILE_BYTES, names::MEM_SDL_COMPILE_PEAK);
+    let toks = {
+        let _lex = chc_obs::span(names::SPAN_SDL_LEX);
+        lex(src)?
+    };
+    let ast = {
+        let _parse = chc_obs::span(names::SPAN_SDL_PARSE);
+        parse_tokens(toks)?
+    };
+    let _lower = chc_obs::span(names::SPAN_SDL_LOWER);
+    lower_with_file(&ast, file)
+}
+
+fn lower_with_file(ast: &SchemaAst<'_>, file: Option<&str>) -> Result<Schema, SdlError> {
     let mut b = SchemaBuilder::new();
     if let Some(f) = file {
         b.source_map_mut().set_file(f);
     }
     // Pass 1: declare every class name.
+    let mut ids = Vec::with_capacity(ast.classes.len());
     for class in &ast.classes {
         // On a duplicate, `class.pos` is the second occurrence.
-        model_at(b.declare(&class.name), class.pos)?;
+        ids.push(model_at(b.declare(class.name), class.pos)?);
     }
     // Pass 2: supers and attributes.
-    for class in &ast.classes {
-        let id = b.class_id(&class.name).expect("declared in pass 1");
+    for (class, &id) in ast.classes.iter().zip(&ids) {
         b.record_class_span(id, span(class.pos));
         for sup in &class.supers {
-            let sup_id = resolve_class(&b, &sup.name, sup.pos)?;
+            let sup_id = resolve_class(&b, sup.name, sup.pos)?;
             model_at(b.add_super(id, sup_id), sup.pos)?;
             b.source_map_mut().record_super(id, sup_id, span(sup.pos));
         }
         for attr in &class.attrs {
             let spec = lower_attr_spec(&mut b, attr)?;
-            let attr_sym = b.intern(&attr.name);
-            model_at(b.add_attr(id, &attr.name, spec), attr.pos)?;
-            b.source_map_mut().record_attr(id, attr_sym, span(attr.pos));
-            for exc in &attr.excuses {
-                let on = resolve_class(&b, &exc.on, exc.pos)?;
-                let excused = b.intern(&exc.attr);
-                b.source_map_mut().record_excuse(id, excused, on, span(exc.pos));
+            // `spec.excuses` holds the declaration's own clauses, lowered
+            // in source order.
+            for (exc, lowered) in attr.excuses.iter().zip(&spec.excuses) {
+                b.source_map_mut()
+                    .record_excuse(id, lowered.attr, lowered.on, span(exc.pos));
             }
+            let attr_sym = model_at(b.add_attr(id, attr.name, spec), attr.pos)?;
+            b.source_map_mut().record_attr(id, attr_sym, span(attr.pos));
         }
     }
-    b.build()
-        .map_err(|err| SdlError::Model { pos: build_error_pos(ast, &err), err })
+    b.build().map_err(|err| SdlError::Model {
+        pos: build_error_pos(ast, &err),
+        err,
+    })
 }
 
 fn span(p: Pos) -> chc_model::Span {
-    chc_model::Span { line: p.line, col: p.col }
+    chc_model::Span {
+        line: p.line,
+        col: p.col,
+    }
 }
 
 /// Wraps a builder error with the source position of the declaration
 /// being lowered.
 fn model_at<T>(r: Result<T, ModelError>, pos: Pos) -> Result<T, SdlError> {
-    r.map_err(|err| SdlError::Model { pos: Some(pos), err })
+    r.map_err(|err| SdlError::Model {
+        pos: Some(pos),
+        err,
+    })
 }
 
 /// Best-effort position for an error raised at `build()` time, when the
 /// builder no longer knows which declaration was at fault.
-fn build_error_pos(ast: &SchemaAst, err: &ModelError) -> Option<Pos> {
-    let class_pos =
-        |name: &str| ast.classes.iter().find(|c| c.name == name).map(|c| c.pos);
+fn build_error_pos(ast: &SchemaAst<'_>, err: &ModelError) -> Option<Pos> {
+    let class_pos = |name: &str| ast.classes.iter().find(|c| c.name == name).map(|c| c.pos);
     match err {
         ModelError::IsACycle(name)
         | ModelError::DuplicateClass(name)
@@ -119,8 +136,8 @@ fn build_error_pos(ast: &SchemaAst, err: &ModelError) -> Option<Pos> {
 
 /// Finds the `excuses attr on C` clause naming `on`/`attr`, including
 /// clauses nested inside record ranges.
-fn excuse_pos(ast: &SchemaAst, on: &str, attr: &str) -> Option<Pos> {
-    fn scan(attrs: &[AttrAst], on: &str, attr: &str) -> Option<Pos> {
+fn excuse_pos(ast: &SchemaAst<'_>, on: &str, attr: &str) -> Option<Pos> {
+    fn scan(attrs: &[AttrAst<'_>], on: &str, attr: &str) -> Option<Pos> {
         for a in attrs {
             if let Some(e) = a.excuses.iter().find(|e| e.on == on && e.attr == attr) {
                 return Some(e.pos);
@@ -137,26 +154,31 @@ fn excuse_pos(ast: &SchemaAst, on: &str, attr: &str) -> Option<Pos> {
 }
 
 fn resolve_class(b: &SchemaBuilder, name: &str, pos: Pos) -> Result<ClassId, SdlError> {
-    b.class_id(name)
-        .ok_or_else(|| SdlError::UnknownClass { pos, name: name.to_string() })
+    b.class_id(name).ok_or_else(|| SdlError::UnknownClass {
+        pos,
+        name: name.to_string(),
+    })
 }
 
-fn lower_attr_spec(b: &mut SchemaBuilder, attr: &AttrAst) -> Result<AttrSpec, SdlError> {
+fn lower_attr_spec(b: &mut SchemaBuilder, attr: &AttrAst<'_>) -> Result<AttrSpec, SdlError> {
     let range = lower_range(b, &attr.range, attr.pos)?;
     let mut spec = AttrSpec::plain(range);
     for exc in &attr.excuses {
-        let on = resolve_class(b, &exc.on, exc.pos)?;
-        let attr_sym = b.intern(&exc.attr);
+        let on = resolve_class(b, exc.on, exc.pos)?;
+        let attr_sym = b.intern(exc.attr);
         spec = spec.excusing(attr_sym, on);
     }
     Ok(spec)
 }
 
-fn lower_range(b: &mut SchemaBuilder, range: &RangeAst, pos: Pos) -> Result<Range, SdlError> {
+fn lower_range(b: &mut SchemaBuilder, range: &RangeAst<'_>, pos: Pos) -> Result<Range, SdlError> {
     Ok(match range {
         RangeAst::Int(lo, hi) => model_at(Range::int(*lo, *hi), pos)?,
         RangeAst::Str => Range::Str,
-        RangeAst::Integer => Range::Int { lo: i64::MIN, hi: i64::MAX },
+        RangeAst::Integer => Range::Int {
+            lo: i64::MIN,
+            hi: i64::MAX,
+        },
         RangeAst::None => Range::None,
         RangeAst::AnyEntity => Range::AnyEntity,
         RangeAst::Enum(toks) => {
@@ -175,14 +197,15 @@ fn lower_range(b: &mut SchemaBuilder, range: &RangeAst, pos: Pos) -> Result<Rang
 fn lower_record(
     b: &mut SchemaBuilder,
     base: Option<ClassId>,
-    fields: &[AttrAst],
+    fields: &[AttrAst<'_>],
     pos: Pos,
 ) -> Result<Range, SdlError> {
     let mut specs = Vec::with_capacity(fields.len());
-    let mut names: Vec<(Sym, String)> = Vec::with_capacity(fields.len());
+    // Field names for the error text only, borrowed from the AST.
+    let mut names: Vec<(Sym, &str)> = Vec::with_capacity(fields.len());
     for f in fields {
-        let name = b.intern(&f.name);
-        names.push((name, f.name.clone()));
+        let name = b.intern(f.name);
+        names.push((name, f.name));
         let spec = lower_attr_spec(b, f)?;
         specs.push(FieldSpec { name, spec });
     }
@@ -190,7 +213,7 @@ fn lower_record(
         names
             .iter()
             .find(|(sym, _)| *sym == s)
-            .map(|(_, n)| n.clone())
+            .map(|(_, n)| n.to_string())
             .unwrap_or_else(|| format!("{s:?}"))
     };
     model_at(Range::record(&resolve, base, specs), pos)
@@ -281,14 +304,21 @@ mod tests {
         let tb = schema.class_by_name("Tubercular_Patient").unwrap();
         let treated_at = schema.sym("treatedAt").unwrap();
         let decl = schema.declared_attr(tb, treated_at).unwrap();
-        let Range::Record { base: Some(base), fields } = &decl.spec.range else {
+        let Range::Record {
+            base: Some(base),
+            fields,
+        } = &decl.spec.range
+        else {
             panic!("expected refined record range");
         };
         assert_eq!(*base, schema.class_by_name("Hospital").unwrap());
         assert_eq!(fields.len(), 2);
         let acc = &fields[0];
         assert_eq!(acc.spec.excuses.len(), 1);
-        assert_eq!(acc.spec.excuses[0].on, schema.class_by_name("Hospital").unwrap());
+        assert_eq!(
+            acc.spec.excuses[0].on,
+            schema.class_by_name("Hospital").unwrap()
+        );
     }
 
     #[test]
@@ -296,7 +326,10 @@ mod tests {
         // The duplicate is the second `class A`, at column 10.
         let err = compile("class A; class A").unwrap_err();
         match err {
-            SdlError::Model { pos: Some(pos), err: ModelError::DuplicateClass(name) } => {
+            SdlError::Model {
+                pos: Some(pos),
+                err: ModelError::DuplicateClass(name),
+            } => {
                 assert_eq!(name, "A");
                 assert_eq!((pos.line, pos.col), (1, 10));
             }
@@ -306,7 +339,10 @@ mod tests {
         // the classes on the cycle.
         let err = compile("class A is-a B; class B is-a A").unwrap_err();
         match err {
-            SdlError::Model { pos, err: ModelError::IsACycle(_) } => assert!(pos.is_some()),
+            SdlError::Model {
+                pos,
+                err: ModelError::IsACycle(_),
+            } => assert!(pos.is_some()),
             other => panic!("unexpected error {other:?}"),
         }
     }
@@ -360,6 +396,12 @@ mod tests {
         let t = schema.class_by_name("T").unwrap();
         let salary = schema.sym("salary").unwrap();
         let decl = schema.declared_attr(t, salary).unwrap();
-        assert_eq!(decl.spec.range, Range::Int { lo: i64::MIN, hi: i64::MAX });
+        assert_eq!(
+            decl.spec.range,
+            Range::Int {
+                lo: i64::MIN,
+                hi: i64::MAX
+            }
+        );
     }
 }

@@ -22,9 +22,10 @@ impl fmt::Display for Pos {
     }
 }
 
-/// One lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+/// One lexical token. Identifiers and enumeration tokens borrow their
+/// text from the source, so a token is a plain `Copy` value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'src> {
     /// `class`
     KwClass,
     /// `with`
@@ -37,9 +38,9 @@ pub enum Tok {
     KwIsA,
     /// An identifier: class or attribute name, or type keyword such as
     /// `String`, `Integer`, `None`, `AnyEntity` (disambiguated by the parser).
-    Ident(String),
+    Ident(&'src str),
     /// An enumeration token, e.g. `'Dove`.
-    Quoted(String),
+    Quoted(&'src str),
     /// An integer literal (possibly negative).
     Int(i64),
     /// `:`
@@ -62,7 +63,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::KwClass => write!(f, "`class`"),
@@ -87,10 +88,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spanned<'src> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// Where it starts.
     pub pos: Pos,
 }

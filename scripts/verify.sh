@@ -19,6 +19,12 @@ cargo fmt --check -p chc-obs
 echo "==> cargo fmt --check (chc-core)"
 cargo fmt --check -p chc-core
 
+echo "==> cargo fmt --check (chc-sdl)"
+cargo fmt --check -p chc-sdl
+
+echo "==> cargo fmt --check (chc-lint)"
+cargo fmt --check -p chc-lint
+
 echo "==> rustfmt --check (the chc CLI, src/bin/chc/)"
 rustfmt --edition 2021 --check src/bin/chc/*.rs
 

@@ -1,14 +1,15 @@
 //! The static-analysis commands: `lint` (schema lints, plus query safety
 //! under `--query`) and `diff` (semantic diff plus evolution lints).
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use excuses::core::{virtualize, EditKind};
-use excuses::lint::{LintCode, LintConfig, LintLevel};
+use excuses::lint::{display_report, LintCode, LintConfig, LintLevel};
 use excuses::query::parse_query_file;
 
 use crate::args::Args;
-use crate::{exit_code, open_schemas, read_file};
+use crate::{emit, exit_code, open_schemas, read_file};
 
 /// Levenshtein distance between two short strings — the budget for the
 /// "did you mean" suggestion when a `--allow/--warn/--deny` value names
@@ -91,16 +92,19 @@ pub fn lint(a: &Args) -> Result<ExitCode, String> {
     let _span = chc_obs::span(chc_obs::names::SPAN_CLI_LINT);
     let Some(qarg) = a.value("--query") else {
         let report = excuses::lint::run(schema, &config);
-        if json {
-            println!("{}", report.to_json(schema).render());
-        } else if report.findings.is_empty() {
-            println!("{path}: {} classes — no lints fired", schema.num_classes());
-        } else {
-            println!(
-                "{}",
-                excuses::lint::render_report(&report, schema, Some(src))
-            );
-        }
+        emit(|out| {
+            if json {
+                writeln!(out, "{}", report.to_json(schema).render())
+            } else if report.findings.is_empty() {
+                writeln!(
+                    out,
+                    "{path}: {} classes — no lints fired",
+                    schema.num_classes()
+                )
+            } else {
+                writeln!(out, "{}", display_report(&report, schema, Some(src), None))
+            }
+        })?;
         return Ok(exit_code(report.is_ok()));
     };
     // `--query` takes either a `.chq` batch file or an ad-hoc
@@ -117,21 +121,22 @@ pub fn lint(a: &Args) -> Result<ExitCode, String> {
     // over the virtualized one. Both render against `v.schema`,
     // which preserves original class ids and the source map.
     let report = excuses::lint::run_with_queries(schema, &v, &queries, qfile, &config);
-    if json {
-        println!("{}", report.to_json(&v.schema).render());
-    } else if report.findings.is_empty() {
-        println!(
-            "{path}: {} classes, {} quer{} — no lints fired",
-            schema.num_classes(),
-            queries.len(),
-            if queries.len() == 1 { "y" } else { "ies" }
-        );
-    } else {
-        println!(
-            "{}",
-            excuses::lint::render_report_sources(&report, &v.schema, Some(src), Some(&qtext))
-        );
-    }
+    emit(|out| {
+        if json {
+            writeln!(out, "{}", report.to_json(&v.schema).render())
+        } else if report.findings.is_empty() {
+            writeln!(
+                out,
+                "{path}: {} classes, {} quer{} — no lints fired",
+                schema.num_classes(),
+                queries.len(),
+                if queries.len() == 1 { "y" } else { "ies" }
+            )
+        } else {
+            let text = display_report(&report, &v.schema, Some(src), Some(&qtext));
+            writeln!(out, "{text}")
+        }
+    })?;
     Ok(exit_code(report.is_ok()))
 }
 
@@ -219,24 +224,17 @@ pub fn diff(a: &Args) -> Result<ExitCode, String> {
     };
     let [old, new] = open_schemas([old_path, new_path])?;
     let outcome = excuses::lint::run_diff(&old.schema, &new.schema, Some(old_path), &config);
-    if json {
-        println!(
-            "{}",
-            diff_to_json(&outcome, old_path, new_path, &new.schema).render()
-        );
-    } else {
-        if !outcome.report.findings.is_empty() {
-            println!(
-                "{}",
-                excuses::lint::render_report_sources(
-                    &outcome.report,
-                    &new.schema,
-                    Some(&new.src),
-                    Some(&old.src),
-                )
-            );
+    emit(|out| {
+        if json {
+            let envelope = diff_to_json(&outcome, old_path, new_path, &new.schema);
+            return writeln!(out, "{}", envelope.render());
         }
-        println!(
+        if !outcome.report.findings.is_empty() {
+            let text = display_report(&outcome.report, &new.schema, Some(&new.src), Some(&old.src));
+            writeln!(out, "{text}")?;
+        }
+        writeln!(
+            out,
             "{old_path} -> {new_path}: {} edit(s) ({} additive, {} refining, {} breaking); \
              dirty: {} class(es) to re-check, {} extent(s) to re-validate",
             outcome.diff.edits.len(),
@@ -245,7 +243,7 @@ pub fn diff(a: &Args) -> Result<ExitCode, String> {
             outcome.diff.count(EditKind::Breaking),
             outcome.dirty.classes.len(),
             outcome.dirty.extents.len(),
-        );
-    }
+        )
+    })?;
     Ok(exit_code(outcome.report.is_ok()))
 }

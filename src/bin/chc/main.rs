@@ -115,6 +115,7 @@ mod load;
 mod profile;
 mod schema;
 
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -437,6 +438,19 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         "doctor" => doctor::run(args),
         other => unreachable!("Args::parse admits no command `{other}` here"),
     }
+}
+
+/// Runs `write` against a locked, buffered stdout and flushes it: a
+/// command's report goes out in large writes, without first being built
+/// as one `String`. A failed write (a closed pipe, say) is the command's
+/// error.
+fn emit(
+    write: impl FnOnce(&mut io::BufWriter<io::StdoutLock<'static>>) -> io::Result<()>,
+) -> Result<(), String> {
+    let mut out = io::BufWriter::with_capacity(1 << 16, io::stdout().lock());
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("writing to stdout: {e}"))
 }
 
 /// Exit 0 when `ok`, else 1: diagnostics, denied findings or invalid

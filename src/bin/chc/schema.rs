@@ -1,6 +1,7 @@
 //! The single-schema commands: `check`, `print`, `virtualize` and
 //! `explain`.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use excuses::core::{
@@ -11,7 +12,7 @@ use excuses::sdl::print_schema;
 use excuses::types::{cond_of, render_cond, render_tyset, EntityFacts, TypeContext};
 
 use crate::args::Args;
-use crate::{compile, exit_code, open_schemas, read_file};
+use crate::{compile, emit, exit_code, open_schemas, read_file};
 
 /// `chc check <schema.sdl> [--explain] [--incremental --since <old.sdl>]`.
 /// `--incremental` and `--since` go together: `--since` names the
@@ -45,31 +46,34 @@ pub fn check(a: &Args) -> Result<ExitCode, String> {
         }
         None => check_schema(schema),
     };
-    if report.diagnostics.is_empty() {
-        println!(
-            "{path}: {} classes, {} declarations — clean",
-            schema.num_classes(),
-            schema.num_attr_decls()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    println!("{}", report.render(schema));
-    if a.has("--explain") {
-        // One derivation per diagnosed (class, attribute) site:
-        // the full argument for why the site is (in)coherent.
-        let mut seen = std::collections::BTreeSet::new();
-        for d in &report.diagnostics {
-            if seen.insert((d.class, d.attr)) {
-                println!(
-                    "{}",
-                    explain_admissibility(schema, d.class, d.attr).render(schema)
-                );
+    emit(|out| {
+        if report.diagnostics.is_empty() {
+            return writeln!(
+                out,
+                "{path}: {} classes, {} declarations — clean",
+                schema.num_classes(),
+                schema.num_attr_decls()
+            );
+        }
+        writeln!(out, "{}", report.display(schema))?;
+        if a.has("--explain") {
+            // One derivation per diagnosed (class, attribute) site:
+            // the full argument for why the site is (in)coherent.
+            let mut seen = std::collections::BTreeSet::new();
+            for d in &report.diagnostics {
+                if seen.insert((d.class, d.attr)) {
+                    writeln!(
+                        out,
+                        "{}",
+                        explain_admissibility(schema, d.class, d.attr).render(schema)
+                    )?;
+                }
             }
         }
-    }
-    let errors = report.errors().count();
-    let warnings = report.warnings().count();
-    println!("{errors} error(s), {warnings} warning(s)");
+        let errors = report.errors().count();
+        let warnings = report.warnings().count();
+        writeln!(out, "{errors} error(s), {warnings} warning(s)")
+    })?;
     Ok(exit_code(report.is_ok()))
 }
 
