@@ -56,11 +56,15 @@ pub fn check(schema: &Schema) -> CheckReport {
 /// is the same for every worker count.
 fn check_on(schema: &Schema, workers: usize) -> CheckReport {
     let classes: Vec<ClassId> = schema.class_ids().collect();
-    let mut diagnostics: Vec<Diagnostic> =
-        shard::map_classes(&classes, workers, |class| check_class(schema, class))
-            .into_iter()
-            .flatten()
-            .collect();
+    let mut diagnostics: Vec<Diagnostic> = shard::map_classes(
+        &classes,
+        workers,
+        chc_obs::names::SPAN_CHECK_SHARD,
+        |class| check_class(schema, class),
+    )
+    .into_iter()
+    .flatten()
+    .collect();
     suppress_restated(schema, &mut diagnostics);
     CheckReport { diagnostics }
 }
@@ -137,8 +141,8 @@ fn check_declaration(schema: &Schema, class: ClassId, attr: Sym, found: &mut Vec
     let spec = &schema.declared_attr(class, attr).expect("declared").spec;
     let s_range = &spec.range;
 
-    for &ancestor in schema.declarers_of(attr) {
-        if !schema.is_strict_subclass(class, ancestor) {
+    for ancestor in schema.inherited_declarers(class, attr) {
+        if ancestor == class {
             continue;
         }
         let decl_b = schema.declared_attr(ancestor, attr).expect("declarer");
@@ -378,7 +382,7 @@ pub(crate) fn suppress_restated(schema: &Schema, diagnostics: &mut Vec<Diagnosti
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use chc_sdl::compile;
 
@@ -755,7 +759,7 @@ mod tests {
 
     /// A generated clean hierarchy, and the same one with the excuses of
     /// ten sites dropped.
-    fn seeded_pair(classes: usize, seed: u64) -> (Schema, Schema) {
+    pub(crate) fn seeded_pair(classes: usize, seed: u64) -> (Schema, Schema) {
         let gen = chc_workloads::generate(&chc_workloads::HierarchyParams {
             classes,
             seed,

@@ -696,9 +696,12 @@ pub fn check_incremental(old: &Schema, old_report: &CheckReport, new: &Schema) -
         }
         carried.push(translated);
     }
-    let mut rechecked = shard::map_classes(&recheck, shard::available_workers(), |class| {
-        check_class(new, class)
-    })
+    let mut rechecked = shard::map_classes(
+        &recheck,
+        shard::available_workers(),
+        chc_obs::names::SPAN_CHECK_SHARD,
+        |class| check_class(new, class),
+    )
     .into_iter();
     let mut report = CheckReport::default();
     for found in carried {

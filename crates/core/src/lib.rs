@@ -40,7 +40,8 @@ pub use evolve::diff::{
 };
 pub use evolve::Evolved;
 pub use sat::{
-    admits_common_value, common_value_witness, explain_admissibility, Derivation, Witness,
+    admits_common_value, common_value_witness, explain_admissibility, incoherent_sites, Derivation,
+    Witness,
 };
 pub use semantics::{constraint_holds, constraint_verdict, CheckVerdict, Semantics};
 pub use validate::{object_is_valid, validate_object, MissingPolicy, ValidationOptions, Violation};

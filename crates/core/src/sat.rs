@@ -28,6 +28,8 @@
 use chc_model::{AttrSpec, ClassId, Range, Schema, Sym};
 use chc_obs::json::JsonValue;
 
+use crate::shard;
+
 /// Does some single value satisfy every constraint on `attr` inherited
 /// by (or declared on) `class`, with applicable excuses folded in?
 ///
@@ -37,6 +39,36 @@ use chc_obs::json::JsonValue;
 pub fn admits_common_value(schema: &Schema, class: ClassId, attr: Sym) -> bool {
     let constraints = schema.constraints_on(class, attr);
     admits_common_value_of(schema, class, attr, &constraints)
+}
+
+/// Every site at which a class is incoherent: the `(class, attr)` pairs,
+/// over each class and each attribute applicable to it, for which
+/// [`admits_common_value`] is false, in class-id then attribute order.
+///
+/// This is the schema-wide form of the §5.3/§5.4 question "can this
+/// class hold any value" (CLASSIC's coherence). Each site's answer
+/// depends on the schema alone, so the classes are spread over every
+/// core: one `sat.sweep` span, and one `sat.shard` span per worker.
+pub fn incoherent_sites(schema: &Schema) -> Vec<(ClassId, Sym)> {
+    let _span = chc_obs::span(chc_obs::names::SPAN_SAT_SWEEP);
+    incoherent_sites_on(schema, shard::available_workers())
+}
+
+/// [`incoherent_sites`] with its classes spread over `workers` threads;
+/// the sites are the same for every worker count.
+fn incoherent_sites_on(schema: &Schema, workers: usize) -> Vec<(ClassId, Sym)> {
+    let classes: Vec<ClassId> = schema.class_ids().collect();
+    shard::map_classes(&classes, workers, chc_obs::names::SPAN_SAT_SHARD, |class| {
+        schema
+            .applicable_attrs(class)
+            .into_iter()
+            .filter(|&attr| !admits_common_value(schema, class, attr))
+            .map(|attr| (class, attr))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// As [`admits_common_value`], over an already-collected constraint set
@@ -625,6 +657,99 @@ mod tests {
                 .and_then(|v| v.as_array())
                 .map(|a| a.len()),
             Some(2)
+        );
+    }
+
+    /// The per-site loop [`incoherent_sites`] shards, on one thread.
+    fn serial_sweep(schema: &chc_model::Schema) -> Vec<(ClassId, Sym)> {
+        let mut sites = Vec::new();
+        for class in schema.class_ids() {
+            for attr in schema.applicable_attrs(class) {
+                if !admits_common_value(schema, class, attr) {
+                    sites.push((class, attr));
+                }
+            }
+        }
+        sites
+    }
+
+    #[test]
+    fn incoherent_sites_do_not_depend_on_the_worker_count() {
+        let mut found = 0;
+        for (classes, seed) in [(200, 1), (400, 2), (800, 3)] {
+            let (_, faulty) = crate::check::tests::seeded_pair(classes, seed);
+            let serial = serial_sweep(&faulty);
+            found += serial.len();
+            for workers in [1, 2, 3, 8] {
+                assert_eq!(
+                    incoherent_sites_on(&faulty, workers),
+                    serial,
+                    "{workers} workers, {} classes",
+                    faulty.num_classes()
+                );
+            }
+        }
+        assert!(found > 0, "the seeded schemas have incoherent sites");
+    }
+
+    #[test]
+    fn inherited_declarers_are_the_declarers_the_class_is_under() {
+        let filtered = |schema: &chc_model::Schema, class: ClassId, attr: Sym| {
+            schema
+                .declarers_of(attr)
+                .iter()
+                .copied()
+                .filter(|&d| schema.is_subclass(class, d))
+                .collect::<Vec<_>>()
+        };
+        let agree = |schema: &chc_model::Schema| {
+            let mut attrs: Vec<Sym> = Vec::new();
+            for class in schema.class_ids() {
+                attrs.extend(schema.class(class).attrs.iter().map(|d| d.name));
+            }
+            attrs.sort();
+            attrs.dedup();
+            for class in schema.class_ids() {
+                for &attr in &attrs {
+                    let indexed: Vec<ClassId> = schema.inherited_declarers(class, attr).collect();
+                    assert_eq!(
+                        indexed,
+                        filtered(schema, class, attr),
+                        "{}.{}",
+                        schema.class_name(class),
+                        schema.resolve(attr)
+                    );
+                    assert_eq!(schema.has_attr(class, attr), !indexed.is_empty());
+                }
+            }
+        };
+        for (classes, seed) in [(200, 1), (400, 2)] {
+            let (clean, faulty) = crate::check::tests::seeded_pair(classes, seed);
+            agree(&clean);
+            agree(&faulty);
+        }
+        // `J` precedes the classes it inherits from, so its declarers
+        // have larger ids than it does.
+        let diamond = compile(
+            "
+            class J is-a P2, P3 with p: {'a};
+            class P1 with p: {'a, 'b};
+            class P2 is-a P1 with p: {'a, 'c} excuses p on P1;
+            class P3 is-a P1 with q: String;
+            class Other with p: {'z};
+            ",
+        )
+        .unwrap();
+        agree(&diamond);
+        let id = |name: &str| diamond.class_by_name(name).unwrap();
+        let p = diamond.sym("p").unwrap();
+        assert_eq!(
+            diamond.inherited_declarers(id("J"), p).collect::<Vec<_>>(),
+            [id("J"), id("P1"), id("P2")]
+        );
+        assert_eq!(
+            diamond.inherited_declarers(id("P3"), p).collect::<Vec<_>>(),
+            [id("P1")]
         );
     }
 }

@@ -1,7 +1,8 @@
-//! Per-class sharding of checker work over scoped threads.
+//! Per-class sharding of schema-wide work over scoped threads.
 //!
 //! A class's raw findings depend on the schema and the class alone
-//! ([`crate::check::check_class`]), so classes may be checked on any
+//! ([`crate::check::check_class`]), and so do its incoherent sites
+//! ([`crate::sat::incoherent_sites`]), so classes may be visited on any
 //! thread in any order. [`map_classes`] puts the results back in input
 //! order, which keeps a report byte-identical to a one-thread run.
 
@@ -31,12 +32,17 @@ pub(crate) fn available_workers() -> usize {
 /// The calling thread is one of the workers. The others are scoped
 /// threads entered through [`chc_obs::handoff`], so their counters,
 /// labels and allocations land where the caller's would. Each worker
-/// opens one `check.shard` span and claims [`BLOCK`] classes at a time
-/// from an atomic cursor. When one worker is asked for, or the list is
-/// too short to pay for a thread, no thread starts and the calling
-/// thread runs the same loop alone. A panic in any worker resumes on
-/// the calling thread with its original payload.
-pub(crate) fn map_classes<T, F>(classes: &[ClassId], workers: usize, f: F) -> Vec<T>
+/// opens one span named `span` (`check.shard`, `sat.shard`) and claims
+/// [`BLOCK`] classes at a time from an atomic cursor. When one worker is
+/// asked for, or the list is too short to pay for a thread, no thread
+/// starts and the calling thread runs the same loop alone. A panic in
+/// any worker resumes on the calling thread with its original payload.
+pub(crate) fn map_classes<T, F>(
+    classes: &[ClassId],
+    workers: usize,
+    span: &'static str,
+    f: F,
+) -> Vec<T>
 where
     T: Send,
     F: Fn(ClassId) -> T + Sync,
@@ -44,7 +50,7 @@ where
     let workers = workers.min(classes.len() / MIN_CLASSES_PER_WORKER).max(1);
     let cursor = AtomicUsize::new(0);
     let share = || {
-        let _span = chc_obs::span(chc_obs::names::SPAN_CHECK_SHARD);
+        let _span = chc_obs::span(span);
         let mut blocks = Vec::new();
         loop {
             let start = cursor.fetch_add(BLOCK, Ordering::Relaxed);
@@ -98,10 +104,10 @@ mod tests {
         let classes = ids(500);
         let expected: Vec<u32> = (0..500).map(|i| i * 3).collect();
         for workers in [1, 2, 3, 8] {
-            let got = map_classes(&classes, workers, |c| c.index() as u32 * 3);
+            let got = map_classes(&classes, workers, "t.shard", |c| c.index() as u32 * 3);
             assert_eq!(got, expected, "{workers} workers");
         }
-        assert!(map_classes(&[], 4, |c| c).is_empty());
+        assert!(map_classes(&[], 4, "t.shard", |c| c).is_empty());
     }
 
     #[test]
@@ -115,7 +121,7 @@ mod tests {
         };
         // On the calling thread, the one-worker path.
         let caught = std::panic::catch_unwind(|| {
-            map_classes(&classes, 1, |c| {
+            map_classes(&classes, 1, "t.shard", |c| {
                 if c.index() == 257 {
                     panic!("class {} is broken", c.index());
                 }
@@ -130,7 +136,7 @@ mod tests {
         let caller = thread::current().id();
         let claimed = AtomicBool::new(false);
         let caught = std::panic::catch_unwind(|| {
-            map_classes(&classes, 4, |c| {
+            map_classes(&classes, 4, "t.shard", |c| {
                 if thread::current().id() != caller {
                     claimed.store(true, Ordering::SeqCst);
                     panic!("a worker broke");

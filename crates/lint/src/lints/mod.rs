@@ -14,8 +14,9 @@ use std::collections::BTreeSet;
 use chc_model::{ClassId, Schema, Sym};
 
 /// Facts shared across lints, computed once per run. The expensive part —
-/// the joint-admissibility sweep — is shared by L001 (incoherent class)
-/// and L003 (unreachable branch).
+/// the joint-admissibility sweep, [`chc_core::incoherent_sites`], which
+/// runs on every core — is shared by L001 (incoherent class) and L003
+/// (unreachable branch).
 pub(crate) struct LintCtx<'s> {
     pub schema: &'s Schema,
     /// (class, attr) pairs whose constraint set admits no value.
@@ -27,16 +28,14 @@ pub(crate) struct LintCtx<'s> {
 
 impl<'s> LintCtx<'s> {
     pub fn new(schema: &'s Schema) -> Self {
-        let mut incoherent_at = BTreeSet::new();
+        if schema.num_classes() > 0 {
+            chc_obs::counter(chc_obs::names::LINT_CLASSES, schema.num_classes() as u64);
+        }
+        let incoherent_at: BTreeSet<(ClassId, Sym)> =
+            chc_core::incoherent_sites(schema).into_iter().collect();
         let mut incoherent = vec![false; schema.num_classes()];
-        for class in schema.class_ids() {
-            chc_obs::counter(chc_obs::names::LINT_CLASSES, 1);
-            for attr in schema.applicable_attrs(class) {
-                if !chc_core::admits_common_value(schema, class, attr) {
-                    incoherent_at.insert((class, attr));
-                    incoherent[class.index()] = true;
-                }
-            }
+        for &(class, _) in &incoherent_at {
+            incoherent[class.index()] = true;
         }
         LintCtx {
             schema,

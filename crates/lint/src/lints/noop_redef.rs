@@ -19,13 +19,13 @@ pub(crate) fn run(ctx: &LintCtx<'_>, out: &mut Vec<Finding>) {
             if !decl.spec.excuses.is_empty() {
                 continue;
             }
-            let repeated = schema.declarers_of(decl.name).iter().find(|&&b| {
-                schema.is_strict_subclass(class, b)
+            let repeated = schema.inherited_declarers(class, decl.name).find(|&b| {
+                b != class
                     && schema
                         .declared_attr(b, decl.name)
                         .is_some_and(|d| d.spec.range == decl.spec.range)
             });
-            let Some(&from) = repeated else { continue };
+            let Some(from) = repeated else { continue };
             out.push(Finding {
                 code: LintCode::NoopRedefinition,
                 level: LintLevel::Warn,

@@ -27,7 +27,11 @@ impl BitSet {
     /// # Panics
     /// Panics if `i >= capacity`.
     pub fn insert(&mut self, i: usize) -> bool {
-        assert!(i < self.capacity, "bit {i} out of capacity {}", self.capacity);
+        assert!(
+            i < self.capacity,
+            "bit {i} out of capacity {}",
+            self.capacity
+        );
         let (w, b) = (i / 64, i % 64);
         let fresh = self.words[w] & (1 << b) == 0;
         self.words[w] |= 1 << b;
@@ -36,7 +40,11 @@ impl BitSet {
 
     /// Removes `i`; returns whether it was present.
     pub fn remove(&mut self, i: usize) -> bool {
-        assert!(i < self.capacity, "bit {i} out of capacity {}", self.capacity);
+        assert!(
+            i < self.capacity,
+            "bit {i} out of capacity {}",
+            self.capacity
+        );
         let (w, b) = (i / 64, i % 64);
         let present = self.words[w] & (1 << b) != 0;
         self.words[w] &= !(1 << b);

@@ -61,7 +61,10 @@ impl SchemaBuilder {
             .attrs
             .iter_mut()
             .find(|d| d.name == attr)
-            .ok_or(ModelError::UnknownAttr { class: class_name, attr: attr_name })?;
+            .ok_or(ModelError::UnknownAttr {
+                class: class_name,
+                attr: attr_name,
+            })?;
         decl.spec = spec;
         Ok(())
     }
@@ -91,7 +94,11 @@ impl SchemaBuilder {
 
     /// Read access to a declared attribute spec during construction.
     pub fn attr_spec(&self, class: ClassId, attr: Sym) -> Option<&AttrSpec> {
-        self.classes[class.index()].attrs.iter().find(|d| d.name == attr).map(|d| &d.spec)
+        self.classes[class.index()]
+            .attrs
+            .iter()
+            .find(|d| d.name == attr)
+            .map(|d| &d.spec)
     }
 
     /// Interns an arbitrary string (attribute names, enum tokens).
@@ -116,14 +123,21 @@ impl SchemaBuilder {
             return Err(ModelError::DuplicateClass(name.to_string()));
         }
         let id = ClassId::from_raw(u32::try_from(self.classes.len()).expect("class id overflow"));
-        self.classes.push(Class { name: sym, supers: Vec::new(), attrs: Vec::new(), kind });
+        self.classes.push(Class {
+            name: sym,
+            supers: Vec::new(),
+            attrs: Vec::new(),
+            kind,
+        });
         self.by_name.insert(sym, id);
         Ok(id)
     }
 
     /// Finds a previously declared class.
     pub fn class_id(&self, name: &str) -> Option<ClassId> {
-        self.interner.get(name).and_then(|s| self.by_name.get(&s).copied())
+        self.interner
+            .get(name)
+            .and_then(|s| self.by_name.get(&s).copied())
     }
 
     /// Adds an is-a edge `class is-a superclass`.
@@ -146,13 +160,19 @@ impl SchemaBuilder {
         spec: AttrSpec,
     ) -> Result<Sym, ModelError> {
         let sym = self.interner.intern(name);
-        if self.classes[class.index()].attrs.iter().any(|d| d.name == sym) {
+        if self.classes[class.index()]
+            .attrs
+            .iter()
+            .any(|d| d.name == sym)
+        {
             return Err(ModelError::DuplicateAttr {
                 class: self.name_of(class),
                 attr: name.to_string(),
             });
         }
-        self.classes[class.index()].attrs.push(AttrDecl { name: sym, spec });
+        self.classes[class.index()]
+            .attrs
+            .push(AttrDecl { name: sym, spec });
         Ok(sym)
     }
 
@@ -174,7 +194,9 @@ impl SchemaBuilder {
     }
 
     fn name_of(&self, id: ClassId) -> String {
-        self.interner.resolve(self.classes[id.index()].name).to_string()
+        self.interner
+            .resolve(self.classes[id.index()].name)
+            .to_string()
     }
 
     /// Finalizes the schema, checking acyclicity and excuse integrity and
@@ -247,9 +269,17 @@ impl SchemaBuilder {
         }
 
         let mut declarers: HashMap<Sym, Vec<ClassId>> = HashMap::new();
+        let mut declarer_bits: HashMap<Sym, BitSet> = HashMap::new();
         for (ci, class) in self.classes.iter().enumerate() {
             for decl in &class.attrs {
-                declarers.entry(decl.name).or_default().push(ClassId::from_raw(ci as u32));
+                declarers
+                    .entry(decl.name)
+                    .or_default()
+                    .push(ClassId::from_raw(ci as u32));
+                declarer_bits
+                    .entry(decl.name)
+                    .or_insert_with(|| BitSet::new(n))
+                    .insert(ci);
             }
         }
 
@@ -262,6 +292,7 @@ impl SchemaBuilder {
             excusers,
             excuser_bits,
             declarers,
+            declarer_bits,
             source_map: self.source_map,
         })
     }
@@ -292,7 +323,11 @@ impl SchemaBuilder {
                             color[s] = GRAY;
                             stack.push((s, 0));
                         }
-                        GRAY => return Err(ModelError::IsACycle(self.name_of(ClassId::from_raw(s as u32)))),
+                        GRAY => {
+                            return Err(ModelError::IsACycle(
+                                self.name_of(ClassId::from_raw(s as u32)),
+                            ))
+                        }
                         _ => {}
                     }
                 } else {
@@ -315,18 +350,25 @@ mod tests {
     fn duplicate_class_rejected() {
         let mut b = SchemaBuilder::new();
         b.declare("Person").unwrap();
-        assert_eq!(b.declare("Person"), Err(ModelError::DuplicateClass("Person".into())));
+        assert_eq!(
+            b.declare("Person"),
+            Err(ModelError::DuplicateClass("Person".into()))
+        );
     }
 
     #[test]
     fn duplicate_attr_rejected() {
         let mut b = SchemaBuilder::new();
         let p = b.declare("Person").unwrap();
-        b.add_attr(p, "age", AttrSpec::plain(Range::int(1, 120).unwrap())).unwrap();
+        b.add_attr(p, "age", AttrSpec::plain(Range::int(1, 120).unwrap()))
+            .unwrap();
         let err = b.add_attr(p, "age", AttrSpec::plain(Range::Str));
         assert_eq!(
             err,
-            Err(ModelError::DuplicateAttr { class: "Person".into(), attr: "age".into() })
+            Err(ModelError::DuplicateAttr {
+                class: "Person".into(),
+                attr: "age".into()
+            })
         );
     }
 
@@ -344,7 +386,10 @@ mod tests {
         let mut b = SchemaBuilder::new();
         let p = b.declare("Ouroboros").unwrap();
         b.add_super(p, p).unwrap();
-        assert_eq!(b.build().unwrap_err(), ModelError::IsACycle("Ouroboros".into()));
+        assert_eq!(
+            b.build().unwrap_err(),
+            ModelError::IsACycle("Ouroboros".into())
+        );
     }
 
     #[test]
@@ -393,7 +438,10 @@ mod tests {
         .unwrap();
         assert_eq!(
             b.build().unwrap_err(),
-            ModelError::ExcusedAttrUndeclared { on: "Patient".into(), attr: "treatedBy".into() }
+            ModelError::ExcusedAttrUndeclared {
+                on: "Patient".into(),
+                attr: "treatedBy".into()
+            }
         );
     }
 
@@ -405,7 +453,12 @@ mod tests {
         let physician = b.declare("Physician").unwrap();
         let alcoholic = b.declare("Alcoholic").unwrap();
         b.add_super(alcoholic, patient).unwrap();
-        b.add_attr(patient, "treatedBy", AttrSpec::plain(Range::Class(physician))).unwrap();
+        b.add_attr(
+            patient,
+            "treatedBy",
+            AttrSpec::plain(Range::Class(physician)),
+        )
+        .unwrap();
         let treated_by = b.intern("treatedBy");
         b.add_attr(
             alcoholic,
@@ -433,7 +486,8 @@ mod tests {
         let odd = b.declare("Odd").unwrap();
         b.add_super(patient, person).unwrap();
         b.add_super(odd, patient).unwrap();
-        b.add_attr(person, "age", AttrSpec::plain(Range::int(1, 120).unwrap())).unwrap();
+        b.add_attr(person, "age", AttrSpec::plain(Range::int(1, 120).unwrap()))
+            .unwrap();
         let age = b.intern("age");
         b.add_attr(
             odd,

@@ -94,11 +94,22 @@ mod tests {
         let age = i.intern("age");
         let home = i.intern("home");
         let mut attrs = vec![
-            AttrDecl { name: home, spec: AttrSpec::plain(Range::Str) },
-            AttrDecl { name: age, spec: AttrSpec::plain(Range::int(1, 120).unwrap()) },
+            AttrDecl {
+                name: home,
+                spec: AttrSpec::plain(Range::Str),
+            },
+            AttrDecl {
+                name: age,
+                spec: AttrSpec::plain(Range::int(1, 120).unwrap()),
+            },
         ];
         attrs.sort_by_key(|d| d.name);
-        let c = Class { name, supers: vec![], attrs, kind: ClassKind::Declared };
+        let c = Class {
+            name,
+            supers: vec![],
+            attrs,
+            kind: ClassKind::Declared,
+        };
         assert!(c.attr(age).is_some());
         assert!(c.attr(home).is_some());
         assert!(c.attr(i.intern("salary")).is_none());

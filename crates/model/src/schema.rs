@@ -45,6 +45,9 @@ pub struct Schema {
     pub(crate) excuser_bits: HashMap<(ClassId, Sym), BitSet>,
     /// attr → classes declaring it, in ascending id order.
     pub(crate) declarers: HashMap<Sym, Vec<ClassId>>,
+    /// attr → bitset of declaring class ids (fast intersection with
+    /// ancestor closures).
+    pub(crate) declarer_bits: HashMap<Sym, BitSet>,
     /// Source positions of classes/declarations/excuses/is-a edges, when
     /// the schema was compiled from SDL text (empty otherwise).
     pub(crate) source_map: SourceMap,
@@ -83,7 +86,9 @@ impl Schema {
 
     /// Finds a class by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        self.interner.get(name).and_then(|s| self.by_name.get(&s).copied())
+        self.interner
+            .get(name)
+            .and_then(|s| self.by_name.get(&s).copied())
     }
 
     /// Whether `sub` is `sup` or a (transitive) subclass of it.
@@ -146,26 +151,42 @@ impl Schema {
         self.declarers.get(&attr).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// The declarers of `attr` that `class` is (a subclass of), in
+    /// ascending id order: the classes whose declaration of `attr`
+    /// applies to instances of `class`, `class` itself included when it
+    /// declares `attr`. Computed by bitset intersection with the ancestor
+    /// closure, so it costs the same however many classes declare `attr`.
+    pub fn inherited_declarers(
+        &self,
+        class: ClassId,
+        attr: Sym,
+    ) -> impl Iterator<Item = ClassId> + '_ {
+        self.declarer_bits
+            .get(&attr)
+            .into_iter()
+            .flat_map(move |bits| bits.intersection_iter(&self.ancestors[class.index()]))
+            .map(|i| ClassId::from_raw(i as u32))
+    }
+
     /// Every constraint applicable to instances of `class` for attribute
     /// `attr`: the declarations of `attr` on `class` and on each of its
     /// ancestors, as `(declaring class, spec)` pairs. The declaring class
     /// identifies the constraint — the pair the paper uses as the excuse
     /// target (§5.1).
     pub fn constraints_on(&self, class: ClassId, attr: Sym) -> Vec<(ClassId, &AttrSpec)> {
-        // Walk the (usually short) declarer list rather than the
-        // (possibly large) ancestor set.
-        self.declarers_of(attr)
-            .iter()
-            .filter(|&&d| self.is_subclass(class, d))
-            .map(|&d| (d, &self.classes[d.index()].attr(attr).expect("declarer").spec))
+        self.inherited_declarers(class, attr)
+            .map(|d| {
+                (
+                    d,
+                    &self.classes[d.index()].attr(attr).expect("declarer").spec,
+                )
+            })
             .collect()
     }
 
     /// Whether `class` declares or inherits attribute `attr`.
     pub fn has_attr(&self, class: ClassId, attr: Sym) -> bool {
-        self.declarers_of(attr)
-            .iter()
-            .any(|&d| self.is_subclass(class, d))
+        self.inherited_declarers(class, attr).next().is_some()
     }
 
     /// The local declaration of `attr` on exactly `class`, if any.
@@ -196,23 +217,24 @@ impl Schema {
             .get(&(on, attr))
             .into_iter()
             .flat_map(move |bits| {
-                bits.intersection_iter(&self.ancestors[class.index()]).flat_map(move |i| {
-                    let target = ClassId::from_raw(i as u32);
-                    let at = entries
-                        .binary_search_by_key(&target, |e| e.excuser)
-                        .expect("bit implies entry");
-                    // Several entries may share an excuser class (distinct
-                    // carrying attributes); yield the whole run.
-                    let mut lo = at;
-                    while lo > 0 && entries[lo - 1].excuser == target {
-                        lo -= 1;
-                    }
-                    let mut hi = at + 1;
-                    while hi < entries.len() && entries[hi].excuser == target {
-                        hi += 1;
-                    }
-                    entries[lo..hi].iter()
-                })
+                bits.intersection_iter(&self.ancestors[class.index()])
+                    .flat_map(move |i| {
+                        let target = ClassId::from_raw(i as u32);
+                        let at = entries
+                            .binary_search_by_key(&target, |e| e.excuser)
+                            .expect("bit implies entry");
+                        // Several entries may share an excuser class (distinct
+                        // carrying attributes); yield the whole run.
+                        let mut lo = at;
+                        while lo > 0 && entries[lo - 1].excuser == target {
+                            lo -= 1;
+                        }
+                        let mut hi = at + 1;
+                        while hi < entries.len() && entries[hi].excuser == target {
+                            hi += 1;
+                        }
+                        entries[lo..hi].iter()
+                    })
             })
     }
 
@@ -224,8 +246,7 @@ impl Schema {
     /// The range an excuser imposes: the declared spec of its carrying
     /// attribute.
     pub fn excuser_spec(&self, entry: &ExcuserEntry) -> &AttrSpec {
-        &self
-            .classes[entry.excuser.index()]
+        &self.classes[entry.excuser.index()]
             .attr(entry.attr)
             .expect("excuser entry must point at a real declaration")
             .spec
@@ -261,8 +282,12 @@ mod tests {
         b.add_super(patient, person).unwrap();
         b.add_attr(person, "age", AttrSpec::plain(Range::int(1, 120).unwrap()))
             .unwrap();
-        b.add_attr(employee, "age", AttrSpec::plain(Range::int(16, 65).unwrap()))
-            .unwrap();
+        b.add_attr(
+            employee,
+            "age",
+            AttrSpec::plain(Range::int(16, 65).unwrap()),
+        )
+        .unwrap();
         let s = b.build().unwrap();
         (s, person, employee, manager, patient)
     }

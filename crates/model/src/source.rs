@@ -182,7 +182,11 @@ mod tests {
     #[test]
     fn super_spans_are_per_edge() {
         let mut m = SourceMap::new();
-        let (sub, a, b) = (ClassId::from_raw(5), ClassId::from_raw(1), ClassId::from_raw(2));
+        let (sub, a, b) = (
+            ClassId::from_raw(5),
+            ClassId::from_raw(1),
+            ClassId::from_raw(2),
+        );
         m.record_super(sub, a, Span { line: 3, col: 14 });
         m.record_super(sub, b, Span { line: 3, col: 22 });
         assert_eq!(m.super_span(sub, a), Some(Span { line: 3, col: 14 }));

@@ -11,8 +11,10 @@ fn declarers_index_is_complete_and_ordered() {
     let d = b.declare("C").unwrap();
     b.add_super(c, a).unwrap();
     b.add_super(d, c).unwrap();
-    b.add_attr(a, "x", AttrSpec::plain(Range::int(1, 10).unwrap())).unwrap();
-    b.add_attr(d, "x", AttrSpec::plain(Range::int(2, 3).unwrap())).unwrap();
+    b.add_attr(a, "x", AttrSpec::plain(Range::int(1, 10).unwrap()))
+        .unwrap();
+    b.add_attr(d, "x", AttrSpec::plain(Range::int(2, 3).unwrap()))
+        .unwrap();
     b.add_attr(c, "y", AttrSpec::plain(Range::Str)).unwrap();
     let s = b.build().unwrap();
     let x = s.sym("x").unwrap();
@@ -31,7 +33,12 @@ fn applicable_excusers_matches_the_naive_filter() {
     let root = b.declare("Root").unwrap();
     let t0 = b.intern("t0");
     let t1 = b.intern("t1");
-    b.add_attr(root, "p", AttrSpec::plain(Range::enumeration([t0]).unwrap())).unwrap();
+    b.add_attr(
+        root,
+        "p",
+        AttrSpec::plain(Range::enumeration([t0]).unwrap()),
+    )
+    .unwrap();
     let p = b.intern("p");
     let mut excusers = Vec::new();
     for i in 0..40 {
@@ -50,7 +57,10 @@ fn applicable_excusers_matches_the_naive_filter() {
     b.add_super(sub, excusers[3]).unwrap();
     b.add_super(sub, excusers[7]).unwrap();
     let s = b.build().unwrap();
-    let fast: Vec<_> = s.applicable_excusers(sub, root, p).map(|e| e.excuser).collect();
+    let fast: Vec<_> = s
+        .applicable_excusers(sub, root, p)
+        .map(|e| e.excuser)
+        .collect();
     let slow: Vec<_> = s
         .excusers_of(root, p)
         .iter()
@@ -104,7 +114,9 @@ fn deep_hierarchy_closures_stay_consistent() {
 fn wide_multiple_inheritance_closure() {
     // One class with 64 direct parents.
     let mut b = SchemaBuilder::new();
-    let parents: Vec<_> = (0..64).map(|i| b.declare(&format!("P{i}")).unwrap()).collect();
+    let parents: Vec<_> = (0..64)
+        .map(|i| b.declare(&format!("P{i}")).unwrap())
+        .collect();
     let child = b.declare("Child").unwrap();
     for &p in &parents {
         b.add_super(child, p).unwrap();
@@ -124,10 +136,15 @@ fn builder_from_schema_round_trips_ids_and_specs() {
     let c = b.declare("B").unwrap();
     b.add_super(c, a).unwrap();
     let tok = b.intern("t");
-    b.add_attr(a, "x", AttrSpec::plain(Range::enumeration([tok]).unwrap())).unwrap();
-    let x = b.intern("x");
-    b.add_attr(c, "x", AttrSpec::plain(Range::enumeration([tok]).unwrap()).excusing(x, a))
+    b.add_attr(a, "x", AttrSpec::plain(Range::enumeration([tok]).unwrap()))
         .unwrap();
+    let x = b.intern("x");
+    b.add_attr(
+        c,
+        "x",
+        AttrSpec::plain(Range::enumeration([tok]).unwrap()).excusing(x, a),
+    )
+    .unwrap();
     let s1 = b.build().unwrap();
     let s2 = SchemaBuilder::from_schema(&s1).build().unwrap();
     assert_eq!(s1.num_classes(), s2.num_classes());

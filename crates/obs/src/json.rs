@@ -5,6 +5,7 @@
 //! sink round-trippable.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A value in the event-sink JSON subset.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,32 +80,51 @@ impl JsonValue {
 
     /// Renders as compact JSON (sorted keys, no whitespace).
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the [`render`](Self::render) text to `out`: one buffer
+    /// for the whole tree, however deep.
+    pub fn write_to(&self, out: &mut String) {
         match self {
-            JsonValue::Str(s) => render_string(s),
+            JsonValue::Str(s) => write_string(out, s),
             JsonValue::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    format!("{}", *n as i64)
+                    let _ = write!(out, "{}", *n as i64);
                 } else {
-                    format!("{n}")
+                    let _ = write!(out, "{n}");
                 }
             }
             JsonValue::Obj(m) => {
-                let fields: Vec<String> = m
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", render_string(k), v.render()))
-                    .collect();
-                format!("{{{}}}", fields.join(","))
+                out.push('{');
+                for (i, (k, v)) in m.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_string(out, k);
+                    out.push(':');
+                    v.write_to(out);
+                }
+                out.push('}');
             }
             JsonValue::Arr(items) => {
-                let parts: Vec<String> = items.iter().map(JsonValue::render).collect();
-                format!("[{}]", parts.join(","))
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_to(out);
+                }
+                out.push(']');
             }
         }
     }
 }
 
-fn render_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+fn write_string(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
     for c in s.chars() {
         match c {
@@ -113,12 +133,13 @@ fn render_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Parses one line of the subset. Errors carry a byte offset.

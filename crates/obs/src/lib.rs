@@ -401,10 +401,11 @@ impl Handoff {
         let _labels: Vec<LabelGuard> = self.labels.iter().map(|&l| label_scope(l)).collect();
         let probe = self.track_mem.then(memalloc::probe);
         let value = work();
-        Worked {
-            value,
-            mem: probe.map(memalloc::hand_back),
-        }
+        let mem = probe.map(memalloc::hand_back);
+        // A scoped thread's thread-locals may outlive the scope's join;
+        // fold now so the process-wide totals are exact once it returns.
+        memalloc::flush();
+        Worked { value, mem }
     }
 }
 

@@ -10,17 +10,31 @@
 //! ```
 //!
 //! Once installed, every allocation and deallocation in the process
-//! updates a handful of relaxed atomics (alloc/free counts, cumulative
-//! bytes, live bytes, peak live bytes). That is the *entire* fast path:
-//! the allocator never dispatches into recorders — recorder sinks take
-//! locks and allocate, and calling them from inside `alloc` would
-//! re-enter the allocator. Attribution instead flows through
-//! thread-local cells that scope guards sample from safe code:
+//! is counted on the thread that makes it: alloc/free counts, bytes
+//! allocated, and net live bytes, held back in one thread-local struct.
+//! That is the *entire* fast path — one thread-local, no global atomic,
+//! no lock. The allocator never dispatches into recorders (recorder
+//! sinks take locks and allocate, and calling them from inside `alloc`
+//! would re-enter the allocator).
+//!
+//! A thread *folds* its held-back counts into the process-wide totals
+//! when its held-back live bytes reach ±[`FOLD_LIVE_BYTES`], when
+//! 1 MiB has been allocated since its last fold, in
+//! [`snapshot`], at the end of [`crate::Handoff::run`], and at thread
+//! exit. The totals in a snapshot are therefore exact for every thread
+//! that has folded (the caller always has), and the global live and
+//! peak bytes are estimates: at any moment each other thread holds back
+//! less than [`FOLD_LIVE_BYTES`] of either sign, so they are off by at
+//! most (threads that allocate) × [`FOLD_LIVE_BYTES`].
+//!
+//! Attribution flows through the same thread-local struct, which scope
+//! guards sample from safe code:
 //!
 //! * [`probe`] returns a [`ThreadProbe`] measuring bytes allocated and
 //!   peak net-live growth on the current thread between construction
 //!   and [`ThreadProbe::stats`]. This is what `check_class` uses for
 //!   per-class attribution (emitted as labeled metrics by the caller).
+//!   Probes count every byte: they do not wait for a fold.
 //! * [`span_mem`] is the fire-and-forget variant for instrumented
 //!   spans (`sdl.compile`, `extent.load`, `query.execute`, ...): it
 //!   probes while the guard lives and emits a counter/histogram pair
@@ -40,72 +54,203 @@
 //! rather than underflowing.
 
 // `GlobalAlloc` is the one unsafe surface of chc-obs; everything the
-// unsafe blocks do is delegate to `System` and bump atomics.
+// unsafe blocks do is delegate to `System` and count.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
+/// Held-back live bytes, of either sign, at which a thread folds its
+/// counts into the process-wide totals. The global live and peak bytes
+/// are off by at most this much per thread that allocates.
+pub const FOLD_LIVE_BYTES: u64 = 64 << 10;
+
+/// Bytes allocated since a thread's last fold at which it folds anyway,
+/// so churn that leaves its live bytes flat still reaches the totals.
+const FOLD_ALLOC_BYTES: u64 = 1 << 20;
+
+static INSTALLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
 static BYTES_TOTAL: AtomicU64 = AtomicU64::new(0);
-static BYTES_LIVE: AtomicU64 = AtomicU64::new(0);
-static BYTES_PEAK: AtomicU64 = AtomicU64::new(0);
+/// Signed: a thread that frees bytes another thread allocated and has
+/// not folded yet drives the sum below zero until that thread folds.
+static BYTES_LIVE: AtomicI64 = AtomicI64::new(0);
+static BYTES_PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// Where a thread is in its folding life.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Folding {
+    /// Nothing counted yet: the first alloc or free folds at once,
+    /// which sets [`INSTALLED`] and registers [`ExitFold`].
+    Fresh,
+    /// Folds at the thresholds.
+    Armed,
+    /// Past [`ExitFold`]: every alloc and free folds at once.
+    Exited,
+}
+
+/// Everything the allocator counts on one thread.
+#[derive(Clone, Copy)]
+struct Counts {
+    /// Allocations since the last fold.
+    allocs: u64,
+    /// Deallocations since the last fold.
+    frees: u64,
+    /// Bytes allocated since the last fold.
+    bytes: u64,
+    /// Net live bytes since the last fold.
+    live: i64,
+    /// `|live|` at which the next alloc or free folds: 0 while
+    /// [`Folding::Fresh`] or [`Folding::Exited`].
+    fold_at: i64,
+    folding: Folding,
+    /// Open [`ThreadProbe`] count; the probe counts below are left
+    /// alone while it is zero.
+    probes: u32,
+    /// Cumulative bytes allocated by this thread while probed (monotone).
+    probe_alloc: u64,
+    /// Net live-byte growth on this thread while probed.
+    probe_live: i64,
+    /// Max of `probe_live` since the innermost probe opened.
+    probe_peak: i64,
+}
 
 thread_local! {
-    /// Cumulative bytes allocated by this thread (monotone).
-    static TL_ALLOC: Cell<u64> = const { Cell::new(0) };
-    /// Net live-byte growth on this thread since it started.
-    static TL_LIVE: Cell<i64> = const { Cell::new(0) };
-    /// Max of `TL_LIVE` since the innermost probe opened.
-    static TL_PEAK: Cell<i64> = const { Cell::new(0) };
-    /// Open [`ThreadProbe`] count; thread-local accounting is skipped
-    /// entirely while it is zero.
-    static TL_PROBES: Cell<u32> = const { Cell::new(0) };
+    /// `const`-initialized with no `Drop`, so access is a plain
+    /// thread-local load that never fails, even during thread teardown.
+    static COUNTS: Cell<Counts> = const {
+        Cell::new(Counts {
+            allocs: 0,
+            frees: 0,
+            bytes: 0,
+            live: 0,
+            fold_at: 0,
+            folding: Folding::Fresh,
+            probes: 0,
+            probe_alloc: 0,
+            probe_live: 0,
+            probe_peak: 0,
+        })
+    };
+    /// Folds the thread's counts when its thread-locals are torn down.
+    /// Registered on the thread's first fold.
+    static EXIT_FOLD: ExitFold = const { ExitFold };
 }
+
+struct ExitFold;
+
+impl Drop for ExitFold {
+    fn drop(&mut self) {
+        COUNTS.with(|cell| {
+            let mut t = cell.get();
+            t.folding = Folding::Exited;
+            t.fold_at = 0;
+            cell.set(t);
+            fold(cell);
+        });
+    }
+}
+
+// The two hot paths update the counts in place through the cell's
+// pointer: no copy of the struct and no call, even in an unoptimized
+// build.
 
 #[inline]
 fn note_alloc(size: u64) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    BYTES_TOTAL.fetch_add(size, Ordering::Relaxed);
-    let live = BYTES_LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    let mut peak = BYTES_PEAK.load(Ordering::Relaxed);
-    while live > peak {
-        match BYTES_PEAK.compare_exchange_weak(peak, live, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(seen) => peak = seen,
-        }
-    }
-    // `try_with` so allocations during thread teardown (after TLS
-    // destruction) degrade to global-only accounting instead of
-    // aborting the process.
-    let _ = TL_PROBES.try_with(|probes| {
-        if probes.get() > 0 {
-            let _ = TL_ALLOC.try_with(|c| c.set(c.get() + size));
-            let _ = TL_LIVE.try_with(|c| {
-                let live = c.get() + size as i64;
-                c.set(live);
-                let _ = TL_PEAK.try_with(|p| {
-                    if live > p.get() {
-                        p.set(live);
-                    }
-                });
-            });
+    let _ = COUNTS.try_with(|cell| {
+        let t = cell.as_ptr();
+        // SAFETY: `t` points at this thread's own live `Counts`, and the
+        // place expressions create no reference, so nothing else can
+        // alias one (`fold`, which may re-enter, runs after the block).
+        let fold_now = unsafe {
+            (*t).allocs += 1;
+            (*t).bytes += size;
+            (*t).live += size as i64;
+            if (*t).probes > 0 {
+                (*t).probe_alloc += size;
+                (*t).probe_live += size as i64;
+                if (*t).probe_live > (*t).probe_peak {
+                    (*t).probe_peak = (*t).probe_live;
+                }
+            }
+            (*t).live >= (*t).fold_at || (*t).bytes >= FOLD_ALLOC_BYTES
+        };
+        if fold_now {
+            fold(cell);
         }
     });
 }
 
 #[inline]
 fn note_free(size: u64) {
-    FREES.fetch_add(1, Ordering::Relaxed);
-    BYTES_LIVE.fetch_sub(size, Ordering::Relaxed);
-    let _ = TL_PROBES.try_with(|probes| {
-        if probes.get() > 0 {
-            let _ = TL_LIVE.try_with(|c| c.set(c.get() - size as i64));
+    let _ = COUNTS.try_with(|cell| {
+        let t = cell.as_ptr();
+        // SAFETY: as in `note_alloc`.
+        let fold_now = unsafe {
+            (*t).frees += 1;
+            (*t).live -= size as i64;
+            if (*t).probes > 0 {
+                (*t).probe_live -= size as i64;
+            }
+            (*t).live <= -(*t).fold_at
+        };
+        if fold_now {
+            fold(cell);
         }
     });
+}
+
+/// Adds the thread's held-back counts to the process-wide totals.
+#[cold]
+fn fold(cell: &Cell<Counts>) {
+    let mut t = cell.get();
+    if t.folding == Folding::Fresh {
+        t.folding = Folding::Armed;
+        t.fold_at = FOLD_LIVE_BYTES as i64;
+        cell.set(t);
+        INSTALLED.store(true, Ordering::Relaxed);
+        // Registering the destructor may allocate. That re-enters
+        // `note_alloc`, which now only counts: the thread is armed.
+        let _ = EXIT_FOLD.try_with(|_| ());
+        t = cell.get();
+    }
+    let held = t;
+    t.allocs = 0;
+    t.frees = 0;
+    t.bytes = 0;
+    t.live = 0;
+    cell.set(t);
+    ALLOCS.fetch_add(held.allocs, Ordering::Relaxed);
+    FREES.fetch_add(held.frees, Ordering::Relaxed);
+    BYTES_TOTAL.fetch_add(held.bytes, Ordering::Relaxed);
+    let live = BYTES_LIVE.fetch_add(held.live, Ordering::Relaxed) + held.live;
+    if held.live > 0 {
+        BYTES_PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+/// Folds the calling thread's held-back counts, if it has counted any.
+pub(crate) fn flush() {
+    COUNTS.with(|cell| {
+        if cell.get().folding != Folding::Fresh {
+            fold(cell);
+        }
+    });
+}
+
+/// Reads and updates the calling thread's counts. `f` works on a copy
+/// that is written back whole, so it must not allocate: the allocator's
+/// own update would be overwritten.
+fn with_counts<R>(f: impl FnOnce(&mut Counts) -> R) -> R {
+    COUNTS.with(|cell| {
+        let mut t = cell.get();
+        let out = f(&mut t);
+        cell.set(t);
+        out
+    })
 }
 
 /// The tracking allocator. Zero-sized; delegates to [`System`].
@@ -143,12 +288,12 @@ unsafe impl GlobalAlloc for TrackingAllocator {
     }
 }
 
-/// True once the tracking allocator has observed at least one
-/// allocation — i.e. the running binary installed [`TrackingAllocator`]
-/// as its `#[global_allocator]`. (Rust allocates before `main`, so by
-/// the time anyone asks, an installed wrapper has always fired.)
+/// True once the tracking allocator has counted an allocation — i.e.
+/// the running binary installed [`TrackingAllocator`] as its
+/// `#[global_allocator]`. (Rust allocates before `main`, so by the time
+/// anyone asks, an installed wrapper has always fired.)
 pub fn installed() -> bool {
-    ALLOCS.load(Ordering::Relaxed) > 0
+    INSTALLED.load(Ordering::Relaxed)
 }
 
 /// A point-in-time copy of the global allocator counters.
@@ -160,21 +305,29 @@ pub struct MemSnapshot {
     pub frees: u64,
     /// Cumulative bytes allocated.
     pub bytes_total: u64,
-    /// Bytes currently live.
+    /// Bytes currently live (an estimate; see [`snapshot`]).
     pub bytes_live: u64,
-    /// Peak live bytes.
+    /// Peak live bytes (an estimate; see [`snapshot`]).
     pub bytes_peak: u64,
 }
 
-/// Read the global allocator counters. All zeros when the tracking
-/// allocator is not installed.
+/// Folds the calling thread's counts, then reads the process-wide
+/// totals. All zeros when the tracking allocator is not installed.
+///
+/// Counts are exact for every thread that has folded since its last
+/// allocation. Live and peak bytes are within (threads that allocate) ×
+/// [`FOLD_LIVE_BYTES`] of the truth; a live count that other threads'
+/// held-back allocations leave below zero reads as 0.
 pub fn snapshot() -> MemSnapshot {
+    flush();
+    let live = BYTES_LIVE.load(Ordering::Relaxed);
+    let peak = BYTES_PEAK.load(Ordering::Relaxed);
     MemSnapshot {
         allocs: ALLOCS.load(Ordering::Relaxed),
         frees: FREES.load(Ordering::Relaxed),
         bytes_total: BYTES_TOTAL.load(Ordering::Relaxed),
-        bytes_live: BYTES_LIVE.load(Ordering::Relaxed),
-        bytes_peak: BYTES_PEAK.load(Ordering::Relaxed),
+        bytes_live: live.max(0) as u64,
+        bytes_peak: peak.max(0) as u64,
     }
 }
 
@@ -203,44 +356,42 @@ pub struct ThreadProbe {
 
 /// Open a [`ThreadProbe`] on the current thread.
 pub fn probe() -> ThreadProbe {
-    TL_PROBES.with(|c| c.set(c.get() + 1));
-    let start_live = TL_LIVE.with(Cell::get);
-    let saved_peak = TL_PEAK.with(|p| {
-        let saved = p.get();
-        p.set(start_live);
-        saved
-    });
-    ThreadProbe {
-        start_alloc: TL_ALLOC.with(Cell::get),
-        start_live,
-        saved_peak,
-        _not_send: PhantomData,
-    }
+    with_counts(|t| {
+        t.probes += 1;
+        let saved_peak = std::mem::replace(&mut t.probe_peak, t.probe_live);
+        ThreadProbe {
+            start_alloc: t.probe_alloc,
+            start_live: t.probe_live,
+            saved_peak,
+            _not_send: PhantomData,
+        }
+    })
 }
 
 impl ThreadProbe {
     /// What the probe has measured so far.
     pub fn stats(&self) -> ProbeStats {
-        let bytes_allocated = TL_ALLOC.with(Cell::get).saturating_sub(self.start_alloc);
-        let peak = TL_PEAK.with(Cell::get).max(TL_LIVE.with(Cell::get));
+        let t = COUNTS.with(Cell::get);
         ProbeStats {
-            bytes_allocated,
-            peak_live: (peak - self.start_live).max(0) as u64,
+            bytes_allocated: t.probe_alloc.saturating_sub(self.start_alloc),
+            peak_live: (t.probe_peak.max(t.probe_live) - self.start_live).max(0) as u64,
         }
     }
 }
 
 impl Drop for ThreadProbe {
     fn drop(&mut self) {
-        let _ = TL_PEAK.try_with(|p| p.set(p.get().max(self.saved_peak)));
-        let _ = TL_PROBES.try_with(|c| c.set(c.get().saturating_sub(1)));
+        with_counts(|t| {
+            t.probe_peak = t.probe_peak.max(self.saved_peak);
+            t.probes = t.probes.saturating_sub(1);
+        });
     }
 }
 
 /// Whether this thread has a [`ThreadProbe`] open, i.e. is attributing
 /// its allocations.
 pub(crate) fn probing() -> bool {
-    TL_PROBES.with(|c| c.get() > 0)
+    COUNTS.with(Cell::get).probes > 0
 }
 
 /// A worker thread's tracked allocations, carried back to the thread
@@ -257,7 +408,7 @@ pub(crate) struct WorkerMem {
 pub(crate) fn hand_back(probe: ThreadProbe) -> WorkerMem {
     WorkerMem {
         stats: probe.stats(),
-        net_live: TL_LIVE.with(Cell::get) - probe.start_live,
+        net_live: COUNTS.with(Cell::get).probe_live - probe.start_live,
     }
 }
 
@@ -267,10 +418,11 @@ pub(crate) fn hand_back(probe: ThreadProbe) -> WorkerMem {
 /// and the bytes it left live become this thread's, so freeing them here
 /// balances.
 pub(crate) fn absorb(mem: WorkerMem) {
-    TL_ALLOC.with(|c| c.set(c.get() + mem.stats.bytes_allocated));
-    let live = TL_LIVE.with(Cell::get);
-    TL_PEAK.with(|p| p.set(p.get().max(live + mem.stats.peak_live as i64)));
-    TL_LIVE.with(|c| c.set(live + mem.net_live));
+    with_counts(|t| {
+        t.probe_alloc += mem.stats.bytes_allocated;
+        t.probe_peak = t.probe_peak.max(t.probe_live + mem.stats.peak_live as i64);
+        t.probe_live += mem.net_live;
+    });
 }
 
 /// A fire-and-forget memory probe for instrumented spans: while the
@@ -426,11 +578,11 @@ mod tests {
         assert!(peak.max >= 20_000);
     }
 
-    /// The allocator fast path (no probe open) must stay a few relaxed
-    /// atomics: pin it with the same style of smoke test the disabled
-    /// recorder path uses. 200 ns per alloc+free pair is an order of
-    /// magnitude above the expected cost, low enough to catch a lock
-    /// or recorder dispatch sneaking into `alloc`.
+    /// The allocator fast path (no probe open) must stay a few updates
+    /// of one thread-local: pin it with the same style of smoke test the
+    /// disabled recorder path uses. 200 ns per alloc+free pair is an
+    /// order of magnitude above the expected cost, low enough to catch a
+    /// lock or recorder dispatch sneaking into `alloc`.
     #[test]
     fn tracked_alloc_fast_path_is_cheap() {
         let iters: u32 = 200_000;

@@ -36,6 +36,12 @@ pub const SAT_CALLS: &str = "sat.calls";
 /// Distinct joint-admissibility decisions, deduped by the
 /// `(class, attr)` pair. See [`SUBTYPE_QUERIES_DISTINCT`].
 pub const SAT_CALLS_DISTINCT: &str = "sat.calls.distinct";
+/// Span: one `incoherent_sites` sweep, the joint-admissibility test at
+/// every (class, applicable attribute) site of a schema.
+pub const SPAN_SAT_SWEEP: &str = "sat.sweep";
+/// Span: one sweep worker's share of the classes, on its own thread
+/// (the calling thread runs a share too).
+pub const SPAN_SAT_SHARD: &str = "sat.shard";
 
 // --- chc-model / chc-types (E2, E3, E8, E14) ---
 

@@ -25,6 +25,9 @@ cargo fmt --check -p chc-sdl
 echo "==> cargo fmt --check (chc-lint)"
 cargo fmt --check -p chc-lint
 
+echo "==> cargo fmt --check (chc-model)"
+cargo fmt --check -p chc-model
+
 echo "==> rustfmt --check (the chc CLI, src/bin/chc/)"
 rustfmt --edition 2021 --check src/bin/chc/*.rs
 

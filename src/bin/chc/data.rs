@@ -1,5 +1,6 @@
 //! The instance-data commands: `query` and `validate`.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use excuses::core::{MissingPolicy, Semantics, ValidationOptions};
@@ -8,7 +9,7 @@ use excuses::query::{compile as compile_query, execute, parse_query, CheckMode};
 use excuses::types::TypeContext;
 
 use crate::args::Args;
-use crate::{exit_code, open_schemas, open_store, refuse_errors};
+use crate::{emit, exit_code, open_schemas, open_store, refuse_errors};
 
 /// `chc query <schema.sdl> <data.chd> "<query>"`: compile and run a
 /// query; rows on stdout, accounting on stderr.
@@ -31,9 +32,12 @@ pub fn query(a: &Args) -> Result<ExitCode, String> {
     let result = execute(&v.schema, &data.store, &plan);
     // Rows on stdout, all accounting on stderr: `chc query … | sort`
     // sees only result values.
-    for val in &result.values {
-        println!("{}", val.render(&v.schema));
-    }
+    emit(|out| {
+        for val in &result.values {
+            writeln!(out, "{}", val.render(&v.schema))?;
+        }
+        Ok(())
+    })?;
     let warnings = plan.warnings.len() + usize::from(plan.result_may_be_absent);
     eprintln!(
         "query: {} row(s) scanned, {} emitted, {} check(s)/row, {} compile-time warning(s)",
@@ -64,23 +68,25 @@ pub fn validate(a: &Args) -> Result<ExitCode, String> {
         missing: MissingPolicy::Absent,
     };
     let mut bad = 0usize;
-    for (name, oid) in &data.names {
-        // Ledger join key: which surrogate belongs to which
-        // source-file name.
-        chc_obs::event_with(|| {
-            chc_obs::Event::new(
-                chc_obs::EventLevel::Info,
-                chc_obs::names::EVENT_VALIDATE_OBJECT,
-            )
-            .field("name", name.as_str())
-            .field("object", oid.raw())
-        });
-        let violations = validate_stored(&v.schema, &data.store, opts, *oid);
-        for viol in &violations {
-            println!("{name}: {}", viol.render(&v.schema));
+    emit(|out| {
+        for (name, oid) in &data.names {
+            // Ledger join key: which surrogate belongs to which
+            // source-file name.
+            chc_obs::event_with(|| {
+                chc_obs::Event::new(
+                    chc_obs::EventLevel::Info,
+                    chc_obs::names::EVENT_VALIDATE_OBJECT,
+                )
+                .field("name", name.as_str())
+                .field("object", oid.raw())
+            });
+            let violations = validate_stored(&v.schema, &data.store, opts, *oid);
+            for viol in &violations {
+                writeln!(out, "{name}: {}", viol.render(&v.schema))?;
+            }
+            bad += usize::from(!violations.is_empty());
         }
-        bad += usize::from(!violations.is_empty());
-    }
-    println!("{} object(s), {} invalid", data.names.len(), bad);
+        writeln!(out, "{} object(s), {} invalid", data.names.len(), bad)
+    })?;
     Ok(exit_code(bad == 0))
 }

@@ -1,11 +1,12 @@
 //! `chc doctor`: a `chc-crash/1` report, rendered human-readably.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use excuses::workloads::driver::fmt_bytes;
 
 use crate::args::Args;
-use crate::{format_ns_cli, read_file};
+use crate::{emit, format_ns_cli, read_file};
 
 /// `chc doctor <crash.json>`: render a `chc-crash/1` report (written by
 /// the panic hook or the `--watchdog` stall detector) human-readably.
@@ -24,7 +25,7 @@ pub fn run(a: &Args) -> Result<ExitCode, String> {
         }
         None => return Err(format!("{path}: missing `schema` tag (want chc-crash/1)")),
     }
-    print!("{}", render_crash_report(&doc));
+    emit(|out| out.write_all(render_crash_report(&doc).as_bytes()))?;
     Ok(ExitCode::SUCCESS)
 }
 

@@ -1,6 +1,7 @@
 //! `chc load`: a mixed validate/query/insert/evolve load against a
 //! schema, with latency percentiles per op type.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -11,7 +12,7 @@ use excuses::workloads::{
 };
 
 use crate::args::{duration, number, Args};
-use crate::{format_ns_cli, open_schemas, open_store, refuse_errors};
+use crate::{emit, format_ns_cli, open_schemas, open_store, refuse_errors};
 
 /// Parses `--hier classes=60,supers=2,attrs=8,tokens=8,redefine=0.4,contradict=0.3,seed=7`;
 /// omitted keys keep the [`HierarchyParams`] defaults. The generator
@@ -183,16 +184,19 @@ pub fn run(a: &Args) -> Result<ExitCode, String> {
         )
         .map_err(|e| format!("{path}: {e}"))?;
     }
-    println!(
-        "load: {} ops in {:.2}s ({:.0} ops/s), p95 {} — {}",
-        summary.total_ops,
-        summary.elapsed.as_secs_f64(),
-        summary.throughput(),
-        format_ns_cli(summary.overall.p95),
-        match report {
-            Some(p) => format!("report written to {p}"),
-            None => "no report file (--report <out.html>)".to_string(),
-        }
-    );
+    emit(|out| {
+        writeln!(
+            out,
+            "load: {} ops in {:.2}s ({:.0} ops/s), p95 {} — {}",
+            summary.total_ops,
+            summary.elapsed.as_secs_f64(),
+            summary.throughput(),
+            format_ns_cli(summary.overall.p95),
+            match report {
+                Some(p) => format!("report written to {p}"),
+                None => "no report file (--report <out.html>)".to_string(),
+            }
+        )
+    })?;
     Ok(ExitCode::SUCCESS)
 }

@@ -395,11 +395,13 @@ fn main() -> ExitCode {
             eprint!("{}", r.render_counters());
         }
     }
-    if audit_summary {
-        print!("{}", render_audit_summary(&journal));
-    }
+    let summary = if audit_summary {
+        emit(|out| out.write_all(render_audit_summary(&journal).as_bytes()))
+    } else {
+        Ok(())
+    };
     let flush_err = sinks.flush_files(false).into_iter().next();
-    let code = match outcome {
+    let code = match outcome.and_then(|code| summary.map(|()| code)) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -505,7 +507,7 @@ fn refuse_errors(schema: &Schema, before: &str, print: bool) -> Result<(), Strin
         return Ok(());
     }
     if print {
-        println!("{}", report.render(schema));
+        emit(|out| writeln!(out, "{}", report.display(schema)))?;
     }
     Err(format!("schema has errors; fix it before {before}"))
 }

@@ -1,6 +1,7 @@
 //! `chc profile`: a workload under cost attribution and the span-stack
 //! sampler.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -13,7 +14,7 @@ use excuses::workloads::{generate, HierarchyParams};
 
 use crate::args::{duration, number, Args};
 use crate::load::parse_hier_spec;
-use crate::{format_ns_cli, open_schemas, open_store, refuse_errors};
+use crate::{emit, format_ns_cli, open_schemas, open_store, refuse_errors};
 
 const USAGE: &str = "usage: chc profile <check|validate|query> \
     <schema.sdl | --hier classes=N,...> [data.chd] [\"query\"] [--top N] [--label-cap K] \
@@ -321,18 +322,21 @@ pub fn run(
             .map_err(|e| format!("internal error: profile JSON does not round-trip: {e}"))?;
         std::fs::write(path, text + "\n").map_err(|e| format!("{path}: {e}"))?;
     }
-    println!(
-        "profile: {} — {} classes, subtype {}/{} ({:.1}x), sat {}/{} ({:.1}x), {} sample(s)",
-        pa.workload.name(),
-        schema.num_classes(),
-        subtype_total,
-        subtype_distinct,
-        ratio(subtype_total, subtype_distinct),
-        sat_total,
-        sat_distinct,
-        ratio(sat_total, sat_distinct),
-        sampler.samples(),
-    );
+    emit(|out| {
+        writeln!(
+            out,
+            "profile: {} — {} classes, subtype {}/{} ({:.1}x), sat {}/{} ({:.1}x), {} sample(s)",
+            pa.workload.name(),
+            schema.num_classes(),
+            subtype_total,
+            subtype_distinct,
+            ratio(subtype_total, subtype_distinct),
+            sat_total,
+            sat_distinct,
+            ratio(sat_total, sat_distinct),
+            sampler.samples(),
+        )
+    })?;
     Ok(ExitCode::SUCCESS)
 }
 

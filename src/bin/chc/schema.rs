@@ -80,7 +80,7 @@ pub fn check(a: &Args) -> Result<ExitCode, String> {
 /// `chc print <schema.sdl>`: the canonical pretty-printed form.
 pub fn print(a: &Args) -> Result<ExitCode, String> {
     let [file] = open_schemas([a.schema()?])?;
-    print!("{}", print_schema(&file.schema));
+    emit(|out| out.write_all(print_schema(&file.schema).as_bytes()))?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -91,32 +91,37 @@ pub fn virtualize(a: &Args) -> Result<ExitCode, String> {
     let [file] = open_schemas([path])?;
     let v = virtualize_schema(&file.schema).map_err(|e| e.to_string())?;
     if v.virtuals.is_empty() {
-        println!("{path}: no embedded excuses; nothing to virtualize");
+        emit(|out| writeln!(out, "{path}: no embedded excuses; nothing to virtualize"))?;
         return Ok(ExitCode::SUCCESS);
     }
-    for info in &v.virtuals {
-        let path_str: Vec<&str> = info.path.iter().map(|p| v.schema.resolve(*p)).collect();
-        println!(
-            "virtual class {} is-a {} — extent = values of {} over {}",
-            v.schema.class_name(info.class),
-            v.schema.class_name(info.base),
-            path_str.join("."),
-            v.schema.class_name(info.root),
-        );
-    }
     let report = check_schema(&v.schema);
-    println!(
-        "virtualized schema: {} classes, {}",
-        v.schema.num_classes(),
-        if report.is_ok() {
-            "clean"
-        } else {
-            "HAS ERRORS"
+    emit(|out| {
+        for info in &v.virtuals {
+            let path_str: Vec<&str> = info.path.iter().map(|p| v.schema.resolve(*p)).collect();
+            writeln!(
+                out,
+                "virtual class {} is-a {} — extent = values of {} over {}",
+                v.schema.class_name(info.class),
+                v.schema.class_name(info.base),
+                path_str.join("."),
+                v.schema.class_name(info.root),
+            )?;
         }
-    );
-    if !report.is_ok() {
-        println!("{}", report.render(&v.schema));
-    }
+        writeln!(
+            out,
+            "virtualized schema: {} classes, {}",
+            v.schema.num_classes(),
+            if report.is_ok() {
+                "clean"
+            } else {
+                "HAS ERRORS"
+            }
+        )?;
+        if !report.is_ok() {
+            writeln!(out, "{}", report.display(&v.schema))?;
+        }
+        Ok(())
+    })?;
     Ok(exit_code(report.is_ok()))
 }
 
@@ -139,29 +144,39 @@ pub fn explain(a: &Args) -> Result<ExitCode, String> {
             .ok_or_else(|| format!("unknown attribute `{attr}`"))?],
         None => schema.applicable_attrs(class).into_iter().collect(),
     };
-    for attr in attrs {
-        // The subtype-theory view: the conditional type each
-        // declarer contributes…
-        for (declarer, _) in schema.constraints_on(class, attr) {
-            if let Some(cond) = cond_of(schema, declarer, attr) {
-                println!(
-                    "{} < [{} : {}]",
-                    schema.class_name(declarer),
+    emit(|out| {
+        for attr in attrs {
+            // The subtype-theory view: the conditional type each
+            // declarer contributes…
+            for (declarer, _) in schema.constraints_on(class, attr) {
+                if let Some(cond) = cond_of(schema, declarer, attr) {
+                    writeln!(
+                        out,
+                        "{} < [{} : {}]",
+                        schema.class_name(declarer),
+                        schema.resolve(attr),
+                        render_cond(schema, &cond)
+                    )?;
+                }
+            }
+            // …and the deduced effective type for instances of the class.
+            match ctx.attr_type(&facts, attr) {
+                Some(ty) => writeln!(
+                    out,
+                    "  {}.{} : {}",
+                    class_name,
                     schema.resolve(attr),
-                    render_cond(schema, &cond)
-                );
+                    render_tyset(schema, &ty)
+                )?,
+                None => writeln!(
+                    out,
+                    "  {}.{} : not applicable",
+                    class_name,
+                    schema.resolve(attr)
+                )?,
             }
         }
-        // …and the deduced effective type for instances of the class.
-        match ctx.attr_type(&facts, attr) {
-            Some(ty) => println!(
-                "  {}.{} : {}",
-                class_name,
-                schema.resolve(attr),
-                render_tyset(schema, &ty)
-            ),
-            None => println!("  {}.{} : not applicable", class_name, schema.resolve(attr)),
-        }
-    }
+        Ok(())
+    })?;
     Ok(ExitCode::SUCCESS)
 }

@@ -851,3 +851,105 @@ fn malformed_command_lines_exit_two() {
         failures.join("\n")
     );
 }
+
+/// Runs `chc` with its stdout already closed when it first writes, and
+/// returns its exit code and stderr. `{schema}` in `args` names a FIFO
+/// that is fed `schema` only after the read end of stdout is dropped, so
+/// the command cannot finish writing before its reader is gone.
+#[cfg(target_os = "linux")]
+fn chc_into_closed_pipe(args: &[&str], schema: &str) -> (Option<i32>, String) {
+    use std::io::{ErrorKind, Write as _};
+    use std::os::unix::fs::OpenOptionsExt as _;
+    const O_NONBLOCK: i32 = 0o4000;
+    let dir = bounded_tmp(&format!("closed-pipe-{}", args[0]));
+    let fifo = dir.join("schema.sdl");
+    let _ = std::fs::remove_file(&fifo);
+    let made = Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("mkfifo runs");
+    assert!(made.success(), "mkfifo {}", fifo.display());
+    let fifo_arg = fifo.to_str().unwrap();
+    let args: Vec<String> = args
+        .iter()
+        .map(|a| a.replace("{schema}", fifo_arg))
+        .collect();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chc"))
+        .args(&args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("chc runs");
+    drop(child.stdout.take());
+    // Opening a FIFO's write end without blocking fails until the
+    // reader has opened it; poll, so a chc that never does cannot hang
+    // the test.
+    let deadline = Instant::now() + HANG;
+    let mut writer = loop {
+        match std::fs::OpenOptions::new()
+            .write(true)
+            .custom_flags(O_NONBLOCK)
+            .open(&fifo)
+        {
+            Ok(file) => break file,
+            Err(e) if e.raw_os_error() == Some(6) /* ENXIO */ => {
+                if let Some(status) = child.try_wait().unwrap() {
+                    panic!("chc {} exited ({status}) before reading its schema", args.join(" "));
+                }
+                assert!(Instant::now() < deadline, "chc {} never read its schema", args.join(" "));
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => panic!("opening {}: {e}", fifo.display()),
+        }
+    };
+    let mut rest = schema.as_bytes();
+    while !rest.is_empty() {
+        match writer.write(rest) {
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(1))
+            }
+            Err(e) => panic!("feeding the schema: {e}"),
+        }
+    }
+    drop(writer);
+    let out = child.wait_with_output().expect("chc exits");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_closed_stdout_exits_two_without_a_panic() {
+    let schema =
+        std::fs::read_to_string(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(H_SDL))
+            .unwrap();
+    let query = "for p in Patient emit p.treatedBy";
+    let runs: &[&[&str]] = &[
+        &["print", "{schema}"],
+        &["virtualize", "{schema}"],
+        &["explain", "{schema}", "Alcoholic"],
+        &["query", "{schema}", H_CHD, query],
+        &["validate", "{schema}", H_CHD],
+        &["validate", "{schema}", H_CHD, "--audit-summary"],
+        &["check", "{schema}"],
+        &["lint", "{schema}"],
+        &["diff", "{schema}", "examples/data/hospital-evolved.sdl"],
+    ];
+    for args in runs {
+        let (code, stderr) = chc_into_closed_pipe(args, &schema);
+        let shown = args.join(" ");
+        assert!(
+            !stderr.contains("panicked"),
+            "chc {shown} panicked:\n{stderr}"
+        );
+        assert_eq!(code, Some(2), "chc {shown}:\n{stderr}");
+        assert!(
+            stderr.contains("error: writing to stdout: "),
+            "chc {shown}:\n{stderr}"
+        );
+    }
+}
